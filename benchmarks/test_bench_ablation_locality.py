@@ -1,18 +1,18 @@
-"""Ablation A6: region-aware vs uniform peer selection.
+"""Ablation A6: ranked (locality-aware) vs uniform peer selection.
 
 The Channel Manager's peer list is the only lever the infrastructure
 has over overlay topology.  This bench populates one channel with
-viewers across two regions and compares the default uniform sampler
-against :class:`~repro.p2p.selection.RegionAwarePeerSampler`: the
-locality fraction of returned lists, and the implied expected join
-RTT under the simulator's same-/cross-region path model.
+viewers across two regions and compares the uniform baseline sampler
+against the deployment's default
+:class:`~repro.p2p.selection.RankedPeerListProvider`: the locality
+fraction of returned lists, and the implied expected join RTT under
+the simulator's same-/cross-region path model.
 """
 
 import random
 
 from repro.deployment import Deployment
 from repro.metrics.reporting import format_table
-from repro.p2p.selection import RegionAwarePeerSampler
 from repro.sim.network import peer_rtt
 
 
@@ -49,9 +49,7 @@ def test_bench_ablation_peer_locality(benchmark):
     deployment = _populate()
     rng = random.Random(101)
     uniform = deployment.overlays["intl"].sample_peers
-    aware = RegionAwarePeerSampler(
-        deployment.overlays, deployment.geo, random.Random(7)
-    )
+    aware = deployment.ranked_provider
 
     def measure():
         return (
@@ -72,7 +70,7 @@ def test_bench_ablation_peer_locality(benchmark):
 
     rows = [
         ("uniform", f"{uniform_locality:.2f}", f"{expected_rtt(uniform_locality) * 1000:.0f}"),
-        ("region-aware", f"{aware_locality:.2f}", f"{expected_rtt(aware_locality) * 1000:.0f}"),
+        ("ranked", f"{aware_locality:.2f}", f"{expected_rtt(aware_locality) * 1000:.0f}"),
     ]
     print("\nA6 — peer selection locality (CH requester, CH/DE audience)")
     print(format_table(["sampler", "same-region fraction", "expected join RTT (ms)"], rows))

@@ -467,7 +467,7 @@ def _cmd_overlay(args: argparse.Namespace) -> int:
         sel = payload["selection"]
         print(
             f"  selection: {sel['requests']} requests "
-            f"({sel['index_hits']} index, {sel['fallback_scans']} scans), "
+            f"({sel['index_hits']} index), "
             f"{payload['candidates_per_request']} candidates/request, "
             f"{sel['stale_entries_skipped']} stale skipped, "
             f"{sel['index_events']} index events"

@@ -123,12 +123,6 @@ class ChannelManager:
         request is acceptable.
     partition:
         Channel Listing Partition name.
-    ticket_cache_size:
-        Bound on the signature-verification cache.  A client presents
-        the same User Ticket on every switch and renewal for the
-        ticket's lifetime; caching the (key, body, signature) triples
-        that verified turns those repeat checks into a dict lookup.
-        0 disables the cache (benchmarks use this to measure it).
     """
 
     def __init__(
@@ -141,7 +135,6 @@ class ChannelManager:
         renewal_window: float = 120.0,
         partition: str = "default",
         peer_list_size: int = 8,
-        ticket_cache_size: int = 1024,
     ) -> None:
         self._key = signing_key
         self._issuer = ChallengeIssuer(farm_secret, drbg.fork(b"cm-challenge"))
@@ -150,9 +143,11 @@ class ChannelManager:
         #: not name their issuing domain, so this keeps verification
         #: O(1) per request instead of O(domains) as the tier grows.
         self._um_key_memo: "OrderedDict[bytes, RsaPublicKey]" = OrderedDict()
-        self._ticket_cache = (
-            TicketVerificationCache(ticket_cache_size) if ticket_cache_size else None
-        )
+        #: A client presents the same User Ticket on every switch and
+        #: renewal for the ticket's lifetime; caching the (key, body,
+        #: signature) triples that verified turns those repeat checks
+        #: into a dict lookup.
+        self._ticket_cache = TicketVerificationCache()
         self.ticket_lifetime = ticket_lifetime
         self.renewal_window = renewal_window
         self.partition = partition

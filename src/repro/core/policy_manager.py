@@ -170,13 +170,7 @@ class ChannelPolicyManager:
     # Client access (challenge-protected Channel List fetch)
     # ------------------------------------------------------------------
 
-    def enable_client_access(
-        self,
-        farm_secret: bytes,
-        drbg,
-        user_manager_keys,
-        ticket_cache_size: int = 1024,
-    ) -> None:
+    def enable_client_access(self, farm_secret: bytes, drbg, user_manager_keys) -> None:
         """Turn on the client-facing fetch API.
 
         Section IV-G1: obtaining the Channel List, like obtaining a
@@ -184,15 +178,12 @@ class ChannelPolicyManager:
         challenge signed with its private key -- so a stolen User
         Ticket alone reveals nothing.
 
-        ``ticket_cache_size`` bounds the verification cache that spares
-        repeat fetches a full RSA check of the same User Ticket; 0
-        disables it.
+        A verification cache spares repeat fetches a full RSA check
+        of the same User Ticket.
         """
         self._issuer = ChallengeIssuer(farm_secret, drbg.fork(b"cpm-challenge"))
         self._um_keys = list(user_manager_keys)
-        self._ticket_cache = (
-            TicketVerificationCache(ticket_cache_size) if ticket_cache_size else None
-        )
+        self._ticket_cache = TicketVerificationCache()
 
     def add_user_manager_key(self, key) -> None:
         """Accept tickets from an additional Authentication Domain."""

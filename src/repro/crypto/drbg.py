@@ -100,5 +100,9 @@ class HmacDrbg:
         their streams independent: the child is keyed by fresh output of
         the parent plus a label, so sibling forks with distinct labels
         never correlate.
+
+        Forking *consumes* 32 bytes of the parent's output, so it is a
+        draw like any other: adding, removing or reordering a ``fork``
+        call re-keys everything the parent generates or forks after it.
         """
         return HmacDrbg(self.generate(32), personalization=label)

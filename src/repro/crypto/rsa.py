@@ -215,15 +215,6 @@ class RsaPrivateKey:
         """Does this key carry the CRT fast-path components?"""
         return self.p is not None
 
-    def without_crt(self) -> "RsaPrivateKey":
-        """A copy restricted to ``(n, e, d)`` -- the slow path.
-
-        Used by benchmarks to measure the CRT speedup, and by callers
-        that must ship a key somewhere the factorization should not
-        travel.
-        """
-        return RsaPrivateKey(n=self.n, e=self.e, d=self.d)
-
     @property
     def public_key(self) -> RsaPublicKey:
         """The corresponding public key."""

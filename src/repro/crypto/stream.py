@@ -34,10 +34,7 @@ vectorized end to end (DESIGN.md §11):
 :func:`reference_encrypt`/:func:`reference_decrypt` are a scalar
 implementation of the *same* construction (per-32-byte-block squeeze,
 per-byte XOR, fresh HMAC per tag); the equivalence suite pins the fast
-path against them byte for byte.  :func:`legacy_encrypt`/
-:func:`legacy_decrypt` retain the seed SHA-256-CTR implementation this
-PR replaced -- not ciphertext-compatible, kept as the data-plane
-benchmark's *before* baseline.
+path against them byte for byte, and golden vectors pin both.
 """
 
 from __future__ import annotations
@@ -300,63 +297,6 @@ def reference_decrypt(
     return bytes(a ^ b for a, b in zip(body, stream))
 
 
-def _legacy_keystream(key: bytes, nonce: int, length: int) -> bytes:
-    """The seed SHA-256-CTR keystream: full re-hash per 32-byte block."""
-    out = bytearray()
-    counter = 0
-    nonce_b = nonce.to_bytes(8, "big", signed=False)
-    while len(out) < length:
-        block = hashlib.sha256(
-            key + b"|ctr|" + nonce_b + counter.to_bytes(8, "big")
-        ).digest()
-        out.extend(block)
-        counter += 1
-    return bytes(out[:length])
-
-
-def legacy_encrypt(
-    key: "SymmetricKey", plaintext: bytes, nonce: int, aad: bytes = b""
-) -> bytes:
-    """The seed data-plane encrypt path, retained verbatim.
-
-    SHA-256-CTR keystream rebuilt from scratch per block and a
-    per-byte generator XOR.  **Not** ciphertext-compatible with
-    :meth:`SymmetricKey.encrypt` (different keystream construction);
-    kept solely as the data-plane benchmark's *before* configuration.
-    """
-    if nonce < 0:
-        raise ValueError("nonce must be non-negative")
-    stream = _legacy_keystream(key.material, nonce, len(plaintext))
-    body = bytes(a ^ b for a, b in zip(plaintext, stream))
-    tag = _fresh_tag(key.material, body, nonce, aad)
-    return body + tag
-
-
-def legacy_decrypt(
-    key: "SymmetricKey", ciphertext: bytes, nonce: int, aad: bytes = b""
-) -> bytes:
-    """The seed data-plane decrypt path, retained verbatim."""
-    if len(ciphertext) < _TAG_LEN:
-        raise DecryptionError("ciphertext shorter than tag")
-    ciphertext = bytes(ciphertext)
-    body, tag = ciphertext[:-_TAG_LEN], ciphertext[-_TAG_LEN:]
-    expected = _fresh_tag(key.material, body, nonce, aad)
-    if not hmac.compare_digest(tag, expected):
-        raise DecryptionError("integrity tag mismatch")
-    stream = _legacy_keystream(key.material, nonce, len(body))
-    return bytes(a ^ b for a, b in zip(body, stream))
-
-
 def _fresh_tag(material: bytes, body: bytes, nonce: int, aad: bytes) -> bytes:
     msg = nonce.to_bytes(8, "big") + len(aad).to_bytes(4, "big") + aad + body
     return hmac.new(material, msg, hashlib.sha256).digest()[:_TAG_LEN]
-
-
-def seal(key: SymmetricKey, plaintext: bytes, nonce: int, aad: bytes = b"") -> bytes:
-    """Functional alias for :meth:`SymmetricKey.encrypt`."""
-    return key.encrypt(plaintext, nonce, aad)
-
-
-def open_sealed(key: SymmetricKey, ciphertext: bytes, nonce: int, aad: bytes = b"") -> bytes:
-    """Functional alias for :meth:`SymmetricKey.decrypt`."""
-    return key.decrypt(ciphertext, nonce, aad)

@@ -48,7 +48,7 @@ from repro.metrics.hotpath import counters as hotpath_counters
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.selection import counters as selection_counters
 from repro.resilience.counters import ResilienceCounters
-from repro.p2p.overlay import ChannelOverlay, RepairRanker
+from repro.p2p.overlay import ChannelOverlay
 from repro.p2p.peer import Peer
 from repro.p2p.scorecard import JOIN_FLOOD, PeerScorecard
 from repro.p2p.selection import RankedPeerListProvider
@@ -175,31 +175,23 @@ class Deployment:
         self.channel_ticket_lifetime = channel_ticket_lifetime
 
         # Peer-list pipeline: SWITCH2 lists are ranked by (same-AS,
-        # same-region, spare upload capacity) by default -- ROADMAP
-        # item 3.  The provider holds a *reference* to self.overlays, so
-        # channels added later are covered automatically; its rng is
-        # label-forked from the deployment DRBG so installing it never
-        # shifts the self.rng sequence other components draw from.  The
-        # uniform sampler remains available as an A/B baseline via
-        # :meth:`use_uniform_peer_lists`.
+        # same-region, spare upload capacity) by default.  The provider
+        # holds a *reference* to self.overlays, so channels added later
+        # are covered automatically.  The uniform sampler remains
+        # available as an A/B baseline via :meth:`use_uniform_peer_lists`.
         self.servers: Dict[str, ChannelServer] = {}
         self.overlays: Dict[str, ChannelOverlay] = {}
-        ranked_seed = int.from_bytes(
-            self._drbg.fork(b"ranked-peer-lists").generate(8), "big"
-        )
+        # The provider takes no rng (ties break on a stable keyed hash),
+        # but this fork must stay: HmacDrbg.fork() consumes 32 bytes of
+        # the parent, so dropping the draw would re-key every CM farm,
+        # client and overlay salt forked after it and change every
+        # seeded transcript (tests/integration/test_seed_pin.py).
+        self._drbg.fork(b"ranked-peer-lists")
         self.ranked_provider = RankedPeerListProvider(
-            self.overlays,
-            self.geo,
-            random.Random(ranked_seed),
-            same_region_fraction=0.75,
+            self.overlays, self.geo, same_region_fraction=0.75
         )
         self._active_peer_list_provider = self.ranked_provider
-        # Both repair hooks point at the ranked provider: remove_peer
-        # prefers the index-backed selector; the legacy ranker stays
-        # wired for external callers that still invoke it directly.
-        self._repair_ranker: Optional[RepairRanker] = (
-            self.ranked_provider.rank_for_repair
-        )
+        # Churn repair reuses the ranking that builds SWITCH2 lists.
         self._repair_selector = self.ranked_provider.select_repair
         for name in partitions:
             cm_drbg = self._drbg.fork(f"cm-{name}".encode())
@@ -263,66 +255,23 @@ class Deployment:
             self._epg = ElectronicProgramGuide(self.policy_manager)
         return self._epg
 
-    def use_region_aware_sampling(self, same_region_fraction: float = 0.75) -> None:
-        """Install the shuffle-based locality sampler on every CM."""
-        from repro.p2p.selection import RegionAwarePeerSampler
-
-        sampler = RegionAwarePeerSampler(
-            self.overlays,
-            self.geo,
-            random.Random(self.rng.randrange(2**63)),
-            same_region_fraction=same_region_fraction,
-        )
-        self._install_peer_list_provider(
-            sampler, repair_ranker=None, repair_selector=None
-        )
-
-    def use_ranked_peer_lists(self, same_region_fraction: float = 0.75) -> None:
-        """(Re)install the ranked pipeline, e.g. with a custom privacy cap.
-
-        This is the default wiring; calling it is only needed to change
-        ``same_region_fraction`` or to switch back after
-        :meth:`use_uniform_peer_lists`.
-        """
-        ranked_seed = int.from_bytes(
-            self._drbg.fork(b"ranked-peer-lists-reinstall").generate(8), "big"
-        )
-        self.ranked_provider = RankedPeerListProvider(
-            self.overlays,
-            self.geo,
-            random.Random(ranked_seed),
-            same_region_fraction=same_region_fraction,
-        )
-        self._install_peer_list_provider(
-            self.ranked_provider,
-            repair_ranker=self.ranked_provider.rank_for_repair,
-            repair_selector=self.ranked_provider.select_repair,
-        )
-
     def use_uniform_peer_lists(self) -> None:
-        """Fall back to uniform sampling (the A/B baseline arm)."""
-        self._install_peer_list_provider(
-            self._peer_list_provider, repair_ranker=None, repair_selector=None
-        )
+        """Fall back to uniform sampling (the A/B baseline arm).
 
-    def _install_peer_list_provider(
-        self, provider, repair_ranker, repair_selector=None
-    ) -> None:
-        """Point every CM farm (primaries + replicas) and every
-        overlay's churn-repair path at one selection policy.  Farms and
-        channels created later inherit it via
-        ``_active_peer_list_provider`` / ``_repair_selector``."""
-        self._active_peer_list_provider = provider
-        self._repair_ranker = repair_ranker
-        self._repair_selector = repair_selector
+        Points every CM farm (primaries + replicas) at the uniform
+        sampler and every overlay's churn repair at the uniform draw;
+        farms and channels created later inherit it via
+        ``_active_peer_list_provider`` / ``_repair_selector``.
+        """
+        self._active_peer_list_provider = self._peer_list_provider
+        self._repair_selector = None
         for manager in self.channel_managers.values():
-            manager.set_peer_list_provider(provider)
+            manager.set_peer_list_provider(self._peer_list_provider)
         for replicas in self.cm_replicas.values():
             for replica in replicas:
-                replica.set_peer_list_provider(provider)
+                replica.set_peer_list_provider(self._peer_list_provider)
         for overlay in self.overlays.values():
-            overlay.repair_ranker = repair_ranker
-            overlay.repair_selector = repair_selector
+            overlay.repair_selector = None
 
     def analytics_for(self, channel_id: str):
         """Viewing analytics over the channel's partition log."""
@@ -384,7 +333,6 @@ class Deployment:
             source_capacity=self.source_capacity,
             substream_count=self.substream_count,
         )
-        overlay.repair_ranker = self._repair_ranker
         overlay.repair_selector = self._repair_selector
         if self.scorecard is not None:
             overlay.scorecard = self.scorecard

@@ -4,11 +4,10 @@ The week-long simulation charges each request a calibrated service
 time.  This module closes the loop in the other direction: it takes a
 (small) generated trace and *executes every operation through the real
 implementation* -- real logins with real RSA, real policy evaluation,
-real peer admission -- charging each exchange a per-op compute cost
-(deterministic by default, measured wall clock in ``measured`` mode)
-plus a sampled WAN RTT, exactly as the timing model does.  Comparing
-the two latency distributions bounds the substitution error of
-DESIGN.md's "production testbed -> calibrated simulation" row.
+real peer admission -- charging each exchange a deterministic per-op
+compute cost plus a sampled WAN RTT, exactly as the timing model does.
+Comparing the two latency distributions bounds the substitution error
+of DESIGN.md's "production testbed -> calibrated simulation" row.
 
 Scale is deliberately tiny (tens of concurrent users, hours not weeks):
 the point is distributional agreement per operation, which does not
@@ -18,7 +17,6 @@ need volume.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -26,7 +24,6 @@ from repro.deployment import Deployment
 from repro.errors import CapacityError, ReproError
 from repro.metrics.collector import LatencyCollector
 from repro.metrics.stats import median
-from repro.sim.costs import FixedCostModel, WallClockCostModel
 from repro.sim.network import LatencyModel, peer_rtt, zattoo_like_rtt_table
 from repro.workload.traces import (
     OP_JOIN,
@@ -49,12 +46,6 @@ class FidelityConfig:
     n_channels: int = 6
     horizon: float = 6 * 3600.0  # six hours of trace
     peer_capacity: int = 4
-    #: When True, charge each operation its measured wall-clock cost
-    #: (the original behaviour -- results vary run-to-run and between
-    #: machines).  The default charges a deterministic per-op cost so
-    #: replays with the same seed reproduce exactly; the WAN RTT term
-    #: dominates either way.
-    measured: bool = False
 
 
 @dataclass
@@ -81,9 +72,10 @@ class _SessionState:
 class FidelityRunner:
     """Replays a generated trace through the real functional stack."""
 
-    #: Deterministic per-exchange compute costs (seconds) charged when
-    #: ``config.measured`` is False.  A two-round exchange runs two RSA
-    #: private ops plus handler work; joins add per-hop admission.
+    #: Deterministic per-exchange compute costs (seconds), so replays
+    #: with the same seed reproduce exactly (the WAN RTT term dominates
+    #: anyway).  A two-round exchange runs two RSA private ops plus
+    #: handler work; joins add per-hop admission.
     EXCHANGE_COSTS = {
         "login_exchange": 0.008,
         "switch_exchange": 0.006,
@@ -92,11 +84,6 @@ class FidelityRunner:
 
     def __init__(self, config: FidelityConfig = FidelityConfig()) -> None:
         self.config = config
-        self._cost_model = (
-            WallClockCostModel()
-            if config.measured
-            else FixedCostModel(costs=self.EXCHANGE_COSTS)
-        )
 
     def run(self) -> FidelityResult:
         config = self.config
@@ -126,21 +113,20 @@ class FidelityRunner:
         def timed(op: str, round1: str, round2: Optional[str], event_time: float, fn) -> None:
             """Run a functional op; split its cost over its round(s).
 
-            The compute cost of the whole exchange is charged once --
-            deterministic per-op by default, measured wall clock in
-            ``measured`` mode -- and split evenly across the protocol's
-            rounds (we cannot observe per-round server time from
-            outside the call); each round then gets an independently
-            sampled WAN RTT, matching the timing model's accounting.
+            The compute cost of the whole exchange is charged once,
+            from :attr:`EXCHANGE_COSTS`, and split evenly across the
+            protocol's rounds (we cannot observe per-round server time
+            from outside the call); each round then gets an
+            independently sampled WAN RTT, matching the timing model's
+            accounting.
             """
             nonlocal executed, failed
-            start = time.perf_counter()
             try:
                 fn()
             except ReproError:
                 failed += 1
                 return
-            cost = self._cost_model.charge(op, time.perf_counter() - start)
+            cost = self.EXCHANGE_COSTS[op]
             executed += 1
             rounds = [round1] if round2 is None else [round1, round2]
             for name in rounds:
@@ -189,12 +175,11 @@ class FidelityRunner:
             state.client, channel, capacity=self.config.peer_capacity
         )
         candidates = overlay.sample_peers(channel, state.client.net_addr, 8)
-        start = time.perf_counter()
         try:
             _, attempts = overlay.join(peer, candidates, event_time)
         except CapacityError:
             return
-        cost = self._cost_model.charge("join_overlay", time.perf_counter() - start)
+        cost = self.EXCHANGE_COSTS["join_overlay"]
         total = sum(
             peer_rtt(rng, same_region=rng.random() < 0.7) for _ in range(attempts)
         )

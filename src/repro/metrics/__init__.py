@@ -9,6 +9,8 @@
 * :mod:`repro.metrics.hotpath` -- counters for the ticket pipeline's
   fast paths (CRT signing, the verification cache, compiled policy
   indexes);
+* :mod:`repro.metrics.counters` -- the reset/snapshot/merge/delta
+  mixin every counter block shares;
 * :mod:`repro.metrics.registry` -- one front door over every counter
   source (hot path, durability stores, links, tracer).
 """

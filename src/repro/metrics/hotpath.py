@@ -8,8 +8,8 @@ policy index).  This module counts both the slow and the fast
 executions so benchmarks and operators can verify the fast paths are
 actually being taken.
 
-The module is deliberately dependency-free (no imports from
-``repro.core`` or ``repro.crypto``) so the crypto layer can import it
+The module deliberately imports nothing from ``repro.core`` or
+``repro.crypto`` so the crypto layer can import it
 without a cycle.  Counters are plain integers on a process-global
 instance: the simulator is single-threaded and the real system would
 shard these per worker.
@@ -17,12 +17,13 @@ shard these per worker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict
+from dataclasses import dataclass
+
+from repro.metrics.counters import CounterBlock
 
 
 @dataclass
-class HotpathCounters:
+class HotpathCounters(CounterBlock):
     """Process-wide counters for the ticket pipeline's hot paths."""
 
     #: RSA private-key operations (signing + decryption), total.
@@ -39,29 +40,6 @@ class HotpathCounters:
     policy_index_builds: int = 0
     #: Policy evaluations served through a compiled index.
     policy_index_evals: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter (benchmarks call this between phases)."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        """A plain-dict copy, for reports and BENCH_*.json files."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def merge(self, delta: Dict[str, int]) -> None:
-        """Fold a worker process's counter delta into this instance.
-
-        Counterpart of :meth:`DataplaneCounters.merge
-        <repro.metrics.dataplane.DataplaneCounters.merge>`: RSA ops
-        performed inside pool workers land here so the CRT-fast-path
-        accounting survives offload.  Unknown names are an error.
-        """
-        names = {f.name for f in fields(self)}
-        for name, value in delta.items():
-            if name not in names:
-                raise ValueError(f"unknown hotpath counter: {name!r}")
-            setattr(self, name, getattr(self, name) + value)
 
     @property
     def ticket_cache_hit_rate(self) -> float:

@@ -6,9 +6,9 @@ this block counts *what that decision cost*.  The interesting ratio is
 every eligible member per request (the ratio grows with the overlay),
 while the incremental :class:`~repro.p2p.index.CandidateIndex` pops a
 near-constant handful from its bucket heaps.  The flash-crowd storm
-surfaces these counters next to the JOIN_E2E latency report, and the
-overlay-locality benchmark's scaling curve asserts the indexed ratio
-stays flat from 10k to 100k viewers.
+surfaces these counters next to the JOIN_E2E latency report, and
+``tests/p2p/test_index.py`` asserts the indexed ratio stays flat as
+the overlay grows.
 
 Like :mod:`repro.metrics.hotpath`, the module is dependency-free so
 the overlay layer can import it without a cycle, and the counters live
@@ -17,23 +17,21 @@ on a process-global instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict
+from dataclasses import dataclass
+
+from repro.metrics.counters import CounterBlock
 
 
 @dataclass
-class SelectionCounters:
+class SelectionCounters(CounterBlock):
     """Process-wide counters for the peer-selection plane."""
 
-    #: Peer-list/repair selections served (ranked, region, or repair).
+    #: Peer-list/repair selections served by the ranked provider.
     requests: int = 0
     #: Subset of :attr:`requests` answered from the candidate index.
     index_hits: int = 0
-    #: Subset of :attr:`requests` that fell back to a full O(n) scan
-    #: (index disabled, or a scan-reference provider).
-    fallback_scans: int = 0
-    #: Candidates examined across all requests (scan: every eligible
-    #: member per request; index: validated heap pops per request).
+    #: Candidates examined across all requests (index: validated heap
+    #: pops per request; the scan oracle: every eligible member).
     candidates_considered: int = 0
     #: Lazily-deleted heap tuples discarded during index draws.
     stale_entries_skipped: int = 0
@@ -45,27 +43,6 @@ class SelectionCounters:
     rebuilds: int = 0
     #: ``CandidateIndex.verify_against`` self-checks executed.
     verify_checks: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter (benchmarks call this between phases)."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        """A plain-dict copy, for reports and BENCH_*.json files."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def merge(self, delta: Dict[str, int]) -> None:
-        """Fold a worker process's counter delta into this instance."""
-        names = {f.name for f in fields(self)}
-        for name, value in delta.items():
-            if name not in names:
-                raise ValueError(f"unknown selection counter: {name!r}")
-            setattr(self, name, getattr(self, name) + value)
-
-    def delta_since(self, before: Dict[str, int]) -> Dict[str, int]:
-        """Counter growth since a :meth:`snapshot` (storm windows)."""
-        return {name: value - before.get(name, 0) for name, value in self.snapshot().items()}
 
     @property
     def candidates_per_request(self) -> float:

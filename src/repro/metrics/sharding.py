@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.metrics.counters import CounterBlock
+
 
 @dataclass
-class ShardingCounters:
+class ShardingCounters(CounterBlock):
     """Tallies for placement lookups and live resharding."""
 
     #: Placement lookups answered from the hash ring.
@@ -37,10 +39,3 @@ class ShardingCounters:
     migration_bytes: int = 0
     #: Deferred operations replayed after cutover (in-flight renewals).
     replayed_operations: int = 0
-
-    def reset(self) -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, 0)
-
-    def snapshot(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}

@@ -19,12 +19,10 @@ the pieces the DRM interacts with:
 from repro.p2p.peer import Peer, ChildLink
 from repro.p2p.overlay import ChannelOverlay
 from repro.p2p.substreams import SubstreamAssignment
-from repro.p2p.selection import RegionAwarePeerSampler
 
 __all__ = [
     "Peer",
     "ChildLink",
     "ChannelOverlay",
     "SubstreamAssignment",
-    "RegionAwarePeerSampler",
 ]

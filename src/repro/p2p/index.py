@@ -30,9 +30,10 @@ compacted (rebuilt from the member array; counted in
 
 **Determinism.**  Ranking ties break on a *stable* per-peer jitter --
 a keyed blake2b of the peer id under a per-overlay salt -- rather than
-per-request randomness, so the index-backed and scan-backed providers
-produce byte-identical lists from the same overlay state (the
-equivalence pin in ``tests/p2p/test_selection_equivalence.py``).
+per-request randomness, so the index and the O(n) scan oracle
+(:func:`repro.p2p.selection.reference_ranked_sides`) produce
+byte-identical lists from the same overlay state (the equivalence pin
+in ``tests/p2p/test_selection_equivalence.py``).
 Herding is still avoided: the jitter decorrelates equal-rank peers
 across overlays, and every accepted join changes the winner's spare
 capacity, rotating the head of its bucket for the next request.
@@ -367,7 +368,7 @@ class CandidateIndex:
         return out
 
     # ------------------------------------------------------------------
-    # Uniform sampling (the uniform/region-aware arms)
+    # Uniform sampling (the uniform baseline arm and unranked repair)
     # ------------------------------------------------------------------
 
     def sample_eligible(
@@ -381,30 +382,6 @@ class CandidateIndex:
         return self._sample(
             rng, list(self._by_region.values()), count, exclude_addr, accept
         )
-
-    def sample_region(
-        self,
-        rng: random.Random,
-        region: str,
-        count: int,
-        exclude_addr: Optional[str] = None,
-    ) -> List:
-        """Uniform sample within one region bucket."""
-        bucket = self._by_region.get(region)
-        if bucket is None:
-            return []
-        return self._sample(rng, [bucket], count, exclude_addr, None)
-
-    def sample_outside_region(
-        self,
-        rng: random.Random,
-        region: str,
-        count: int,
-        exclude_addr: Optional[str] = None,
-    ) -> List:
-        """Uniform sample over every region bucket except ``region``."""
-        buckets = [b for name, b in self._by_region.items() if name != region]
-        return self._sample(rng, buckets, count, exclude_addr, None)
 
     def _sample(
         self,

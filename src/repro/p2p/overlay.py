@@ -130,15 +130,11 @@ class RepairRecord:
     same_region: bool
 
 
-#: Ranks an explicit candidate set for churn repair: (orphan address,
-#: connected spare-capacity peers, count) -> ordered descriptors.
-RepairRanker = Callable[[str, List[Peer], int], List[PeerDescriptor]]
-
-#: Index-era churn-repair hook: (overlay, orphan, accept, count) ->
-#: ordered descriptors.  Unlike :data:`RepairRanker` the selector
-#: builds its own candidate set (from the overlay's candidate index),
-#: filtered through ``accept`` -- the overlay's source-connectivity
-#: probe -- so repair never needs the O(n) eligible scan.
+#: Churn-repair hook: (overlay, orphan, accept, count) -> ordered
+#: descriptors.  The selector builds its own candidate set (from the
+#: overlay's candidate index), filtered through ``accept`` -- the
+#: overlay's source-connectivity probe -- so repair never needs an
+#: O(n) eligible scan.
 RepairSelector = Callable[
     ["ChannelOverlay", Peer, Callable[[Peer], bool], int], List[PeerDescriptor]
 ]
@@ -246,12 +242,7 @@ class ChannelOverlay:
         self.index = CandidateIndex(salt=self.selection_salt)
         #: When set, churn repair ranks its candidate list through this
         #: hook (the deployment wires the same locality/capacity ranking
-        #: that builds SWITCH2 lists); None = legacy uniform shuffle.
-        #: Superseded by :data:`repair_selector` when both are set.
-        self.repair_ranker: Optional[RepairRanker] = None
-        #: Index-era repair hook (see :data:`RepairSelector`); preferred
-        #: over ``repair_ranker`` because it avoids the O(n) per-orphan
-        #: eligible scan.  None = fall back to ranker / uniform.
+        #: that builds SWITCH2 lists); None = uniform sample.
         self.repair_selector: Optional[RepairSelector] = None
         #: One record per orphan processed by :meth:`remove_peer`; the
         #: flash-crowd driver drains this to price repair time.  Bounded:
@@ -320,9 +311,6 @@ class ChannelOverlay:
         return self._scorecard is None or not self._scorecard.is_quarantined(
             peer.peer_id
         )
-
-    # Pre-index spelling, kept for external callers.
-    _admissible = admissible
 
     def lookup(self, peer_id: str) -> Peer:
         """Resolve a peer id (including the source)."""
@@ -429,10 +417,6 @@ class ChannelOverlay:
         raise CapacityError(
             f"no candidate accepted peer {peer.peer_id} after {attempts} attempts"
         )
-
-    def join_via_channel_manager(self, peer: Peer, peers: Sequence[PeerDescriptor], now: float):
-        """Convenience alias used by examples: join off a SWITCH2 list."""
-        return self.join(peer, peers, now)
 
     def join_multiparent(
         self,
@@ -607,21 +591,6 @@ class ChannelOverlay:
                 candidates = list(
                     self.repair_selector(self, orphan, accept, 16)
                 )
-            elif self.repair_ranker is not None:
-                # Legacy hook: the ranker expects the eligible set
-                # pre-built, which needs the full scan.
-                connected = set(self.depths().keys())
-                connected.add(self.source.peer_id)
-                eligible = [
-                    member
-                    for member in self.peers.values()
-                    if member.alive
-                    and member.spare_capacity > 0
-                    and member.address != orphan.address
-                    and member.peer_id in connected
-                    and self.admissible(member)
-                ]
-                candidates = list(self.repair_ranker(orphan.address, eligible, 16))
             else:
                 candidates = [
                     member.descriptor()
@@ -740,7 +709,7 @@ class ChannelOverlay:
 
         Eviction reuses :meth:`remove_peer`, so each evicted peer's
         children re-join through the ranked repair path -- which
-        excludes quarantined candidates (:meth:`_admissible`), so
+        excludes quarantined candidates (:meth:`admissible`), so
         repair routes around the adversary by construction.  Run this
         periodically (the chaos rigs sweep once per key epoch).
         """

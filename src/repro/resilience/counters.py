@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.metrics.counters import CounterBlock
+
 
 @dataclass
-class ResilienceCounters:
+class ResilienceCounters(CounterBlock):
     """Counter block for retries, breakers, failover, degraded mode."""
 
     #: Transport-failure classification (one per failed attempt).
@@ -44,10 +46,3 @@ class ResilienceCounters:
     #: Episodes where the Channel Ticket expired while degraded --
     #: playback actually stopped (the paper's hard-stop).
     playback_interruptions: int = 0
-
-    def reset(self) -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, type(getattr(self, name))())
-
-    def snapshot(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}

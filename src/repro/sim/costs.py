@@ -1,26 +1,17 @@
-"""Client-compute cost models for the event-driven driver.
+"""Client-compute cost table for the event-driven driver.
 
 The async driver charges virtual time for client-side work (blob
 decryption, challenge signing, session-key decryption) before the next
-protocol message leaves.  Charging the *measured wall-clock* cost of
-that work -- the original design -- made every transcript
-nondeterministic: two runs with the same seed scheduled their follow-up
-events at slightly different times, so event orderings, trace timings,
-and emergent latencies disagreed run-to-run (and CI machines disagreed
-with laptops).
-
-This module replaces that with an explicit cost model.  The default,
-:class:`FixedCostModel`, charges a deterministic per-operation cost
-from a table, so virtual time is a pure function of the seed again.
-:class:`WallClockCostModel` keeps the old measured behaviour as an
-opt-in mode, and :func:`calibrated_cost_model` builds a fixed table
-from the wall-clock calibration harness -- measured once, then frozen,
-which is how the week-long timing experiments always worked.
+protocol message leaves.  The charge comes from this deterministic
+per-operation table, never the measured wall clock: measured durations
+would make two runs with the same seed schedule their follow-up events
+at slightly different times, so event orderings, trace timings, and
+emergent latencies would disagree run-to-run and between machines.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 #: Operation names charged by :class:`~repro.sim.driver.AsyncClient`.
 OP_LOGIN_BLOB = "login_blob"
@@ -38,71 +29,3 @@ DEFAULT_COSTS: Dict[str, float] = {
     OP_CHALLENGE_SIGN: 0.003,
     OP_JOIN_DECRYPT: 0.003,
 }
-
-#: Charged for operations missing from the table.
-DEFAULT_COST = 0.003
-
-
-class FixedCostModel:
-    """Deterministic per-operation costs from a table.
-
-    ``charge`` ignores the measured wall-clock duration entirely: the
-    returned virtual cost depends only on the operation name, so event
-    schedules are reproducible across runs, machines, and processes.
-    """
-
-    def __init__(
-        self,
-        costs: Optional[Dict[str, float]] = None,
-        default: float = DEFAULT_COST,
-    ) -> None:
-        table = DEFAULT_COSTS if costs is None else costs
-        for op, cost in table.items():
-            if cost < 0:
-                raise ValueError(f"negative cost for {op!r}: {cost}")
-        if default < 0:
-            raise ValueError(f"negative default cost: {default}")
-        self.costs = dict(table)
-        self.default = default
-
-    def charge(self, op: str, measured: float) -> float:
-        """The virtual cost of ``op``; ``measured`` is ignored."""
-        return self.costs.get(op, self.default)
-
-
-class WallClockCostModel:
-    """The pre-fix behaviour: charge the measured wall-clock cost.
-
-    Opt-in only.  Transcripts produced under this model are *not*
-    reproducible -- use it when the point is observing real crypto
-    cost under the harness (the fidelity experiment's measured mode),
-    never when comparing runs.
-    """
-
-    def charge(self, op: str, measured: float) -> float:
-        return measured
-
-
-def calibrated_cost_model(repetitions: int = 30, seed: int = 99) -> FixedCostModel:
-    """Measure once with the calibration harness, then freeze a table.
-
-    Runs the wall-clock microbenchmarks of
-    :mod:`repro.experiments.calibration` and maps the measured client
-    compute into a :class:`FixedCostModel`: deterministic within a run
-    and across runs of the same process, machine-dependent by design.
-    """
-    from repro.experiments.calibration import calibrate
-
-    report = calibrate(repetitions=repetitions, seed=seed)
-    sign = max(1e-6, report.client_compute)
-    return FixedCostModel(
-        costs={
-            # The login blob adds a symmetric decrypt and an image
-            # checksum on top of the signature; both are cheap next to
-            # the RSA op, so charge a small fixed overhead above it.
-            OP_LOGIN_BLOB: sign * 1.25,
-            OP_CHALLENGE_SIGN: sign,
-            OP_JOIN_DECRYPT: sign,
-        },
-        default=sign,
-    )

@@ -6,7 +6,7 @@ crypto, the same manager handlers as the synchronous
 :class:`~repro.sim.rpc.VirtualNetwork`.  Every round's latency is then
 an *emergent* quantity: request one-way delay + farm queueing/service +
 reply one-way delay, plus the client's own compute charged from a
-deterministic cost model (:mod:`repro.sim.costs`).
+deterministic cost table (:mod:`repro.sim.costs`).
 
 This is the highest-fidelity rig in the repository: unit tests verify
 logic, the timing model gives scale, and this driver gives both at
@@ -16,7 +16,6 @@ moderate scale.  Used by the virtual-time integration tests and the
 
 from __future__ import annotations
 
-import time
 from typing import Callable, List, Optional
 
 from repro.core.accounts import secure_hash_password
@@ -37,10 +36,10 @@ from repro.crypto.rsa import generate_keypair
 from repro.crypto.stream import SymmetricKey
 from repro.metrics.collector import LatencyCollector
 from repro.sim.costs import (
+    DEFAULT_COSTS,
     OP_CHALLENGE_SIGN,
     OP_JOIN_DECRYPT,
     OP_LOGIN_BLOB,
-    FixedCostModel,
 )
 from repro.sim.rpc import RpcService, VirtualNetwork
 from repro.trace.span import Span, Tracer
@@ -98,12 +97,9 @@ class AsyncClient:
 
     Client-side compute (RSA signing, blob decryption, checksum) runs
     for real, but the virtual delay charged before the next message
-    leaves comes from ``cost_model`` -- a deterministic per-operation
-    table by default (:class:`~repro.sim.costs.FixedCostModel`), so
-    the same seed always yields the same transcript.  Pass
-    :class:`~repro.sim.costs.WallClockCostModel` to recover the old
-    measured-cost behaviour, or a calibrated table from
-    :func:`~repro.sim.costs.calibrated_cost_model`.
+    leaves comes from the deterministic per-operation table
+    :data:`~repro.sim.costs.DEFAULT_COSTS`, so the same seed always
+    yields the same transcript.
     """
 
     def __init__(
@@ -120,7 +116,6 @@ class AsyncClient:
         key_bits: int = 512,
         tracer: Optional[Tracer] = None,
         round_timeout: Optional[float] = None,
-        cost_model=None,
     ) -> None:
         self._network = network
         self.email = email
@@ -140,9 +135,6 @@ class AsyncClient:
         #: as an ``RpcTimeoutError`` to ``on_fail`` instead of hanging
         #: forever -- the hook the resilience layer's retry loop uses.
         self.round_timeout = round_timeout
-        #: Virtual cost charged for client-side compute; deterministic
-        #: by default so transcripts reproduce bit-for-bit.
-        self.cost_model = cost_model if cost_model is not None else FixedCostModel()
 
     @property
     def public_key(self):
@@ -181,17 +173,12 @@ class AsyncClient:
         """Run client-side work now; advance virtual time by its *modeled* cost.
 
         The work itself executes immediately (its result feeds the next
-        message), but the virtual delay comes from the cost model, not
-        the wall clock -- charging measured ``perf_counter`` durations
-        here made event orderings nondeterministic run-to-run.  The
-        measured duration is still passed to the model so the opt-in
-        wall-clock mode can return it.
+        message), but the virtual delay comes from the cost table, not
+        the wall clock -- charging measured durations here would make
+        event orderings nondeterministic run-to-run.
         """
-        start = time.perf_counter()
         fn()
-        measured = time.perf_counter() - start
-        cost = self.cost_model.charge(op, measured)
-        self._network.sim.schedule(cost, lambda sim: then())
+        self._network.sim.schedule(DEFAULT_COSTS[op], lambda sim: then())
 
     # ------------------------------------------------------------------
     # Login (two chained exchanges)

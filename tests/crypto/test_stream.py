@@ -1,11 +1,14 @@
 """Tests for the authenticated stream cipher."""
 
+import hashlib
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.stream import SymmetricKey, open_sealed, seal
+from repro.crypto.stream import SymmetricKey, reference_encrypt
 from repro.errors import DecryptionError, KeyFormatError
 
 
@@ -101,10 +104,69 @@ class TestAssociatedData:
         assert a[-16:] != b[-16:]
 
 
-class TestFunctionalAliases:
-    def test_seal_open(self, key):
-        ct = seal(key, b"data", nonce=3, aad=b"a")
-        assert open_sealed(key, ct, nonce=3, aad=b"a") == b"data"
+#: Ciphertexts of ``bytes(i & 0xFF for i in range(size))`` under key
+#: ``00 01 .. 0f`` with nonce ``size + 1``, as ``(size, aad) -> hex``.
+#: Sizes straddle the 32-byte keystream block.  The 4096-byte media
+#: frame is pinned by the SHA-256 of its ciphertext (8 kB of hex would
+#: say no more).  The fast path and its scalar oracle are both held to
+#: these literals, so the two cannot drift together.
+GOLDEN = {
+    (0, b""): "f799e38b14dc55cce1f74686d7b9a207",
+    (0, b"channel-7"): "3e1ab5c764bd8813a5ed01edf9251610",
+    (31, b""): (
+        "58a04aecfb748bcebe971093ce85d56f2cb3733578af8ad5b069b42b430d71"
+        "e3b336e0431931bac7e078c9bb1387a9"
+    ),
+    (31, b"channel-7"): (
+        "58a04aecfb748bcebe971093ce85d56f2cb3733578af8ad5b069b42b430d71"
+        "e658916c5a4c7a50ac4d7680cabb1e11"
+    ),
+    (32, b""): (
+        "7966d594908179ec308031a87439be1ead624c3c2f0eb9dd3d3cb77ed04f10ff"
+        "295ebf422b8688c95dcf817953847d83"
+    ),
+    (32, b"channel-7"): (
+        "7966d594908179ec308031a87439be1ead624c3c2f0eb9dd3d3cb77ed04f10ff"
+        "9a5c25da729e96145d937a473126b7e7"
+    ),
+    (33, b""): (
+        "b0e03298a956c832846c68b1c675b3d03545cbbc10daeb631f819d70220a6d60ce"
+        "ccdad07eefb62af8484ea387fd7e54a9"
+    ),
+    (33, b"channel-7"): (
+        "b0e03298a956c832846c68b1c675b3d03545cbbc10daeb631f819d70220a6d60ce"
+        "cbd989e15eabf95c0bc8a39317d6b4e5"
+    ),
+}
+GOLDEN_SHA256 = {
+    (4096, b""): "9e889f5408f5c859b1de056e429976d7c828e9ac94ce961252b149d3c4b638c9",
+    (4096, b"channel-7"): (
+        "345e1ff999c4511250b6402aba5554137a25922932c6a0f22129f6ae20afcdd9"
+    ),
+}
+
+
+class TestGoldenVectors:
+    KEY = SymmetricKey(material=bytes(range(16)))
+
+    @staticmethod
+    def sealed(encrypt, size, aad):
+        plaintext = bytes(i & 0xFF for i in range(size))
+        return encrypt(plaintext, size + 1, aad)
+
+    @pytest.mark.parametrize("size,aad", sorted(GOLDEN))
+    def test_ciphertext_literal(self, size, aad):
+        expected = bytes.fromhex(GOLDEN[size, aad])
+        assert self.sealed(self.KEY.encrypt, size, aad) == expected
+        assert self.sealed(partial(reference_encrypt, self.KEY), size, aad) == expected
+
+    @pytest.mark.parametrize("size,aad", sorted(GOLDEN_SHA256))
+    def test_media_frame_digest(self, size, aad):
+        expected = GOLDEN_SHA256[size, aad]
+        for encrypt in (self.KEY.encrypt, partial(reference_encrypt, self.KEY)):
+            ciphertext = self.sealed(encrypt, size, aad)
+            assert hashlib.sha256(ciphertext).hexdigest() == expected
+            assert len(ciphertext) == size + 16
 
 
 @given(

@@ -18,8 +18,6 @@ from repro.crypto.stream import (
     SymmetricKey,
     _keystream,
     _reference_keystream,
-    legacy_decrypt,
-    legacy_encrypt,
     reference_decrypt,
     reference_encrypt,
 )
@@ -103,30 +101,6 @@ class TestEncryptMany:
 
     def test_empty_batch(self, key):
         assert key.encrypt_many([], []) == []
-
-
-class TestLegacyCipher:
-    """The retained seed implementation must still roundtrip (the
-    benchmark's *before* configuration), while being deliberately
-    ciphertext-incompatible with the new construction."""
-
-    def test_roundtrip(self, key):
-        ct = legacy_encrypt(key, b"old payload", nonce=5, aad=b"ch")
-        assert legacy_decrypt(key, ct, nonce=5, aad=b"ch") == b"old payload"
-
-    def test_not_ciphertext_compatible(self, key):
-        # The MAC scheme is shared (tag over the ciphertext body), so a
-        # legacy ciphertext *authenticates* under the new path -- but
-        # the keystreams differ, so it decrypts to different bytes.
-        plaintext = b"frame" * 20
-        legacy_ct = legacy_encrypt(key, plaintext, nonce=1)
-        assert key.decrypt(legacy_ct, nonce=1) != plaintext
-
-    def test_tamper_detected(self, key):
-        ct = bytearray(legacy_encrypt(key, b"payload", nonce=1))
-        ct[0] ^= 1
-        with pytest.raises(DecryptionError):
-            legacy_decrypt(key, bytes(ct), nonce=1)
 
 
 @given(

@@ -19,6 +19,7 @@ from repro.errors import OverlayError
 from repro.metrics.selection import counters
 from repro.p2p.index import CandidateIndex, stable_jitter
 from repro.p2p.scorecard import POLLUTION
+from repro.p2p.selection import RankedPeerListProvider, reference_ranked_sides
 
 
 # ----------------------------------------------------------------------
@@ -220,14 +221,6 @@ class TestUniformSampling:
         assert len(sample) == 10
         assert len(set(ids(sample))) == 10
 
-    def test_sample_region_stays_in_region(self):
-        peers = [StubPeer(f"p{i}", region="CH" if i % 2 else "DE") for i in range(20)]
-        index = make_index(peers)
-        rng = random.Random(7)
-        assert all(p.region == "CH" for p in index.sample_region(rng, "CH", 6))
-        outside = index.sample_outside_region(rng, "CH", 6)
-        assert all(p.region != "CH" for p in outside)
-
     def test_dense_draw_returns_everyone(self):
         peers = [StubPeer(f"p{i}") for i in range(5)]
         index = make_index(peers)
@@ -243,6 +236,79 @@ class TestUniformSampling:
             random.Random(3), 1, accept=lambda p: p.peer_id == "p099"
         )
         assert ids(sample) == ["p099"]
+
+
+# ----------------------------------------------------------------------
+# Selection cost: flat for the index, linear for the scan oracle
+# ----------------------------------------------------------------------
+
+
+class ScanProvider(RankedPeerListProvider):
+    """The provider with its gather+score stage swapped for the oracle."""
+
+    def _ranked_sides(self, *args, **kwargs):
+        return reference_ranked_sides(*args, **kwargs)
+
+
+class TestCandidatesPerRequest:
+    REGIONS = ("CH", "DE", "FR", "UK")
+    REQUESTS = 200
+
+    class Member(StubPeer):
+        def descriptor(self):
+            return self.peer_id
+
+    class Geo:
+        """Requester addresses are ``"<region>/<asn>"``."""
+
+        def lookup(self, address):
+            region, asn = address.split("/")
+            return StubRecord(region, int(asn))
+
+    def overlay_of(self, size):
+        """``size`` stub members spread over 4 regions x 10 ASes each."""
+        members = [
+            self.Member(
+                f"m{i:04d}",
+                region=self.REGIONS[i % 4],
+                asn=1000 * (1 + i % 4) + (i // 4) % 10,
+                address=f"member/{i}",
+                depth=1 + i % 5,
+                spare=1 + i % 3,
+            )
+            for i in range(size)
+        ]
+        overlay = StubOverlay(members)
+        overlay.selection_salt = b"test-salt"
+        overlay.index = make_index(members)
+        overlay.source = self.Member("source", spare=0)
+        return overlay
+
+    def per_request(self, provider_cls, size):
+        """Mean candidates examined over the fixed request mix, plus the
+        lists served (so the two arms can be compared)."""
+        provider = provider_cls({"stub": self.overlay_of(size)}, self.Geo())
+        before = counters.snapshot()
+        served = [
+            provider("stub", f"{self.REGIONS[i % 4]}/{1000 * (1 + i % 4) + i % 10}", 8)
+            for i in range(self.REQUESTS)
+        ]
+        delta = counters.delta_since(before)
+        assert delta["requests"] == self.REQUESTS
+        return delta["candidates_considered"] / delta["requests"], served
+
+    def test_index_stays_flat_while_scan_grows(self):
+        """Quadrupling the overlay leaves the index's per-request work
+        about where it was; the scan oracle's grows with membership."""
+        index_small, lists_small = self.per_request(RankedPeerListProvider, 300)
+        index_large, lists_large = self.per_request(RankedPeerListProvider, 1200)
+        scan_small, scan_lists_small = self.per_request(ScanProvider, 300)
+        scan_large, scan_lists_large = self.per_request(ScanProvider, 1200)
+        assert index_large <= 2 * index_small
+        assert scan_large >= 3 * scan_small
+        assert index_large < scan_large / 10
+        assert lists_small == scan_lists_small
+        assert lists_large == scan_lists_large
 
 
 # ----------------------------------------------------------------------

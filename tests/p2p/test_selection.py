@@ -1,15 +1,11 @@
-"""Tests for region-aware and ranked peer selection."""
+"""Tests for ranked, locality-aware peer selection."""
 
 import random
 
 import pytest
 
 from repro.deployment import Deployment
-from repro.p2p.selection import (
-    RankedPeerListProvider,
-    RegionAwarePeerSampler,
-    merge_with_quota,
-)
+from repro.p2p.selection import RankedPeerListProvider, merge_with_quota
 
 
 @pytest.fixture
@@ -26,8 +22,8 @@ def populated():
 
 
 def make_sampler(deployment, fraction=0.75):
-    return RegionAwarePeerSampler(
-        deployment.overlays, deployment.geo, random.Random(3), same_region_fraction=fraction
+    return RankedPeerListProvider(
+        deployment.overlays, deployment.geo, same_region_fraction=fraction
     )
 
 
@@ -68,7 +64,6 @@ class TestSampler:
 
     def test_pluggable_into_channel_manager(self, populated):
         """End to end: SWITCH2's peer list is locality-biased."""
-        populated.use_region_aware_sampling()
         client = populated.create_client("local@example.org", "pw", region="CH")
         client.login(now=1.0)
         response = client.switch_channel("intl", now=1.0)
@@ -77,7 +72,6 @@ class TestSampler:
 
     def test_joinable_list(self, populated):
         """The sampled list actually admits the joiner."""
-        populated.use_region_aware_sampling()
         client = populated.create_client("joiner@example.org", "pw", region="DE")
         client.login(now=1.0)
         response = client.switch_channel("intl", now=1.0)
@@ -135,9 +129,7 @@ class TestTopUpRegression:
             if first is None:
                 first = peer
         assert overlay.source.spare_capacity == 0
-        sampler = RegionAwarePeerSampler(
-            deployment.overlays, deployment.geo, random.Random(3)
-        )
+        sampler = make_sampler(deployment)
         addr = deployment.geo.random_address("CH", random.Random(5))
         sample = sampler("intl", addr, count=4)
         assert len(sample) == 4
@@ -145,13 +137,7 @@ class TestTopUpRegression:
 
 
 class TestRankedPeerListProvider:
-    def make_provider(self, deployment, fraction=0.75, seed=5):
-        return RankedPeerListProvider(
-            deployment.overlays,
-            deployment.geo,
-            random.Random(seed),
-            same_region_fraction=fraction,
-        )
+    make_provider = staticmethod(make_sampler)
 
     def test_same_as_outranks_same_region(self, populated):
         provider = self.make_provider(populated, fraction=1.0)
@@ -193,14 +179,14 @@ class TestRankedPeerListProvider:
         assert all(d.spare_capacity > 0 for d in sample)
         assert any(d.asn for d in sample if not d.peer_id.startswith("source"))
 
-    def test_rank_for_repair_prefers_local(self, populated):
+    def test_select_repair_prefers_local(self, populated):
         provider = self.make_provider(populated)
         overlay = populated.overlays["intl"]
         orphan = next(p for p in overlay.peers.values() if p.region == "DE")
-        candidates = [p for p in overlay.peers.values() if p is not orphan]
-        ranked = provider.rank_for_repair(orphan.address, candidates, count=4)
+        ranked = provider.select_repair(overlay, orphan, lambda peer: True, count=4)
         assert ranked
         assert ranked[0].region == "DE"
+        assert all(d.address != orphan.address for d in ranked)
 
     def test_invalid_fraction_rejected(self, populated):
         with pytest.raises(ValueError):
@@ -211,20 +197,24 @@ class TestRankedPeerListProvider:
         and wires the same ranking into churn repair."""
         assert isinstance(populated.ranked_provider, RankedPeerListProvider)
         overlay = populated.overlays["intl"]
-        assert overlay.repair_ranker is not None
+        assert overlay.repair_selector == populated.ranked_provider.select_repair
         client = populated.create_client("fresh@example.org", "pw", region="CH")
         client.login(now=1.0)
         response = client.switch_channel("intl", now=1.0)
         regions = [d.region for d in response.peers if not d.peer_id.startswith("source")]
         assert regions.count("CH") >= regions.count("DE")
 
-    def test_uniform_fallback_and_reinstall(self, populated):
+    def test_uniform_fallback(self, populated):
+        """The baseline arm covers existing and later-created channels
+        and farms: SWITCH2 lists and churn repair both go uniform."""
         overlay = populated.overlays["intl"]
         populated.use_uniform_peer_lists()
-        assert overlay.repair_ranker is None
-        populated.use_ranked_peer_lists(same_region_fraction=0.6)
-        assert overlay.repair_ranker is not None
-        assert populated.ranked_provider.same_region_fraction == 0.6
+        assert overlay.repair_selector is None
+        populated.add_free_channel("later", regions=["CH"])
+        assert populated.overlays["later"].repair_selector is None
+        client = populated.create_client("uni@example.org", "pw", region="CH")
+        client.login(now=1.0)
+        assert client.switch_channel("intl", now=1.0).peers
 
     def test_saturated_source_does_not_shorten_list(self):
         deployment = Deployment(seed=13, source_capacity=1)

@@ -1,10 +1,10 @@
-"""Equivalence pin: index-backed selection == scan-backed selection.
+"""Equivalence pin: index-backed selection == the O(n) scan oracle.
 
 The whole point of the :class:`~repro.p2p.index.CandidateIndex` is
 that it is an *optimization*, not a policy change: for any overlay
 state reachable through the public event API, the ranked provider
 must return byte-identical peer lists whether it answers from the
-index or from the O(n) reference scan.  A Hypothesis state machine
+index or from :func:`~repro.p2p.selection.reference_ranked_sides`.  A Hypothesis state machine
 drives a real deployment through randomized interleavings of the
 events the index absorbs -- joins, departures (with their repair
 cascades), in-place deaths, quarantine and release -- and after
@@ -40,7 +40,7 @@ from repro.crypto.rsa import generate_keypair
 from repro.deployment import Deployment
 from repro.errors import CapacityError
 from repro.p2p.scorecard import POLLUTION
-from repro.p2p.selection import RankedPeerListProvider
+from repro.p2p.selection import RankedPeerListProvider, reference_ranked_sides
 
 REGIONS = ("CH", "DE", "FR")
 CHANNEL = "eq"
@@ -57,6 +57,13 @@ def fleet_key(bits):
     return _FLEET_KEY
 
 
+class ScanProvider(RankedPeerListProvider):
+    """The provider with its gather+score stage swapped for the oracle."""
+
+    def _ranked_sides(self, *args, **kwargs):
+        return reference_ranked_sides(*args, **kwargs)
+
+
 class SelectionEquivalence(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -65,17 +72,9 @@ class SelectionEquivalence(RuleBasedStateMachine):
         self.scorecard = self.deployment.enable_misbehavior_detection()
         self.overlay = self.deployment.overlay(CHANNEL)
         self.indexed = RankedPeerListProvider(
-            self.deployment.overlays,
-            self.deployment.geo,
-            random.Random(0),
-            use_index=True,
+            self.deployment.overlays, self.deployment.geo
         )
-        self.scan = RankedPeerListProvider(
-            self.deployment.overlays,
-            self.deployment.geo,
-            random.Random(0),
-            use_index=False,
-        )
+        self.scan = ScanProvider(self.deployment.overlays, self.deployment.geo)
         self.serial = 0
         self.quarantined = set()
         self.now = 1.0

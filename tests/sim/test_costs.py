@@ -1,77 +1,76 @@
-"""Cost models: deterministic client-compute charging (the bugfix)."""
+"""The fixed client-compute cost table: deterministic charging."""
+
+import random
+import time
 
 import pytest
 
+from repro.crypto.drbg import HmacDrbg
+from repro.deployment import Deployment
+from repro.errors import SimulationError
 from repro.sim.costs import (
-    DEFAULT_COST,
     DEFAULT_COSTS,
     OP_CHALLENGE_SIGN,
     OP_JOIN_DECRYPT,
     OP_LOGIN_BLOB,
-    FixedCostModel,
-    WallClockCostModel,
 )
+from repro.sim.driver import AsyncClient
+from repro.sim.engine import Simulator
+from repro.sim.network import LatencyModel
+from repro.sim.rpc import VirtualNetwork
+
+
+@pytest.fixture
+def client():
+    deployment = Deployment(seed=3)
+    sim = Simulator()
+    network = VirtualNetwork(sim, LatencyModel(random.Random(1)), random.Random(2))
+    return AsyncClient(
+        network=network,
+        email="cost@example.org",
+        password="pw",
+        version=deployment.client_version,
+        image=deployment.client_image,
+        net_addr="1.2.3.4",
+        region="CH",
+        drbg=HmacDrbg(b"cost", b"client"),
+    )
+
+
+def charged(client, op, fn=lambda: None):
+    """Virtual seconds between ``_charge_compute`` and its continuation."""
+    sim = client._network.sim
+    start = sim.now
+    fired = []
+    client._charge_compute(op, fn, lambda: fired.append(sim.now))
+    sim.run()
+    return fired[0] - start
 
 
 class TestFixedCostModel:
-    def test_charge_ignores_measured_duration(self):
-        model = FixedCostModel()
-        # Wildly different wall-clock measurements, identical charges:
+    def test_charge_ignores_measured_duration(self, client):
+        # Wildly different wall-clock durations, identical charges:
         # this is the property that makes transcripts reproducible.
-        assert model.charge(OP_CHALLENGE_SIGN, 0.000001) == \
-            model.charge(OP_CHALLENGE_SIGN, 5.0)
+        assert charged(client, OP_CHALLENGE_SIGN) == pytest.approx(
+            charged(client, OP_CHALLENGE_SIGN, lambda: time.sleep(0.02))
+        )
 
     def test_table_costs(self):
-        model = FixedCostModel()
-        for op in (OP_LOGIN_BLOB, OP_CHALLENGE_SIGN, OP_JOIN_DECRYPT):
-            assert model.charge(op, 0.0) == DEFAULT_COSTS[op]
+        # The table prices exactly the operations the driver charges.
+        assert set(DEFAULT_COSTS) == {OP_LOGIN_BLOB, OP_CHALLENGE_SIGN, OP_JOIN_DECRYPT}
 
-    def test_unknown_op_gets_default(self):
-        assert FixedCostModel().charge("mystery", 1.0) == DEFAULT_COST
-
-    def test_custom_table_and_default(self):
-        model = FixedCostModel(costs={"a": 0.5}, default=0.125)
-        assert model.charge("a", 9.9) == 0.5
-        assert model.charge("b", 9.9) == 0.125
-
-    def test_negative_costs_rejected(self):
-        with pytest.raises(ValueError):
-            FixedCostModel(costs={"a": -0.1})
-        with pytest.raises(ValueError):
-            FixedCostModel(default=-1.0)
-
-
-class TestWallClockCostModel:
-    def test_charge_returns_measured(self):
-        model = WallClockCostModel()
-        assert model.charge(OP_CHALLENGE_SIGN, 0.042) == 0.042
+    def test_negative_costs_rejected(self, client):
+        # A negative entry could only surface as a negative delay,
+        # which the engine refuses to schedule.
+        assert all(cost >= 0 for cost in DEFAULT_COSTS.values())
+        with pytest.raises(SimulationError):
+            client._network.sim.schedule(-0.001, lambda sim: None)
 
 
 class TestDriverUsesDeterministicCosts:
-    def test_async_client_defaults_to_fixed_model(self):
-        import random
-
-        from repro.crypto.drbg import HmacDrbg
-        from repro.deployment import Deployment
-        from repro.sim.driver import AsyncClient
-        from repro.sim.engine import Simulator
-        from repro.sim.network import LatencyModel
-        from repro.sim.rpc import VirtualNetwork
-
-        deployment = Deployment(seed=3)
-        sim = Simulator()
-        network = VirtualNetwork(sim, LatencyModel(random.Random(1)), random.Random(2))
-        client = AsyncClient(
-            network=network,
-            email="cost@example.org",
-            password="pw",
-            version=deployment.client_version,
-            image=deployment.client_image,
-            net_addr="1.2.3.4",
-            region="CH",
-            drbg=HmacDrbg(b"cost", b"client"),
-        )
-        assert isinstance(client.cost_model, FixedCostModel)
+    def test_async_client_defaults_to_fixed_model(self, client):
+        for op in DEFAULT_COSTS:
+            assert charged(client, op) == pytest.approx(DEFAULT_COSTS[op])
 
     def test_same_seed_same_event_times(self):
         # End-to-end: two traced storms with one seed agree on every
