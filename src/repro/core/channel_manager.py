@@ -183,20 +183,6 @@ class ChannelManager:
         """The farm's Channel Ticket verification key."""
         return self._key.public_key
 
-    def use_signing_pool(self, pool) -> None:
-        """Route Channel Ticket signing through a CryptoPool.
-
-        Same single-seam trick as
-        :meth:`UserManager.use_signing_pool
-        <repro.core.user_manager.UserManager.use_signing_pool>`: the
-        key is only touched via ``sign``/``public_key``, so a
-        :class:`~repro.parallel.pool.PooledSigningKey` wrapper moves
-        every ticket signature onto the pool.
-        """
-        from repro.parallel.pool import PooledSigningKey
-
-        self._key = PooledSigningKey(self._key, pool)
-
     # ------------------------------------------------------------------
     # Feeds
     # ------------------------------------------------------------------

@@ -220,19 +220,6 @@ class UserManager:
         """The farm's ticket-verification key."""
         return self._key.public_key
 
-    def use_signing_pool(self, pool) -> None:
-        """Route User Ticket signing through a CryptoPool.
-
-        The manager touches its farm key only via ``sign`` and
-        ``public_key``, so wrapping it in a
-        :class:`~repro.parallel.pool.PooledSigningKey` is the whole
-        change; the wrapper unwraps nested pooling, so calling this
-        again (or with a new pool) simply re-targets the key.
-        """
-        from repro.parallel.pool import PooledSigningKey
-
-        self._key = PooledSigningKey(self._key, pool)
-
     # ------------------------------------------------------------------
     # Feeds from other managers
     # ------------------------------------------------------------------

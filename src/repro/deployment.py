@@ -15,13 +15,19 @@ This is the entry point most examples and integration tests use::
     response = client.switch_channel("ch1", now=1.0)
     peer = deployment.make_peer(client, "ch1")
     deployment.overlay("ch1").join(peer, response.peers, now=1.5)
+
+Construction rule (DESIGN.md section 6): every manager instance comes
+to exist in :meth:`Deployment._stand_up`, fed by its :class:`Farm`
+record, and facilities are attached by the ``_wire_*`` functions only
+-- an ``enable_*`` sets its field and re-wires everything live.
 """
 
 from __future__ import annotations
 
+import os
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.accounts import AccountManager
 from repro.core.attributes import (
@@ -39,7 +45,7 @@ from repro.core.policy_manager import ChannelPolicyManager
 from repro.core.redirection import ManagerEndpoint, RedirectionManager
 from repro.core.user_manager import UserManager
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.rsa import generate_keypair
+from repro.crypto.rsa import RsaPrivateKey, generate_keypair
 from repro.errors import ReproError
 from repro.geo.database import GeoDatabase
 from repro.metrics.adversary import MisbehaviorCounters
@@ -57,6 +63,40 @@ from repro.trace.span import Tracer
 #: The client software version every deployment registers by default.
 DEFAULT_CLIENT_VERSION = "4.0.5"
 _CLIENT_IMAGE_SIZE = 8192
+
+
+@dataclass
+class Farm:
+    """What one manager farm keeps across the lives of its instances.
+
+    The credentials (keypair + farm secret) are the deployment's
+    key-management layer: they outlive any single process, and crash
+    recovery and replica spawning hand them back to the instance being
+    stood up.  The primary lives in ``Deployment.user_managers`` /
+    ``channel_managers`` (a crash removes it there).
+    """
+
+    kind: str  # "um", "cm" or "cpm"
+    name: str
+    signing_key: RsaPrivateKey
+    farm_secret: bytes
+    #: UserIN allocation (start, stride) of a User Manager farm;
+    #: recovery and replica spawning reuse the creation-time values.
+    user_id_params: Tuple[int, int] = (1, 1)
+    #: Recoveries so far; personalises each recovered instance's DRBG.
+    generation: int = 0
+    #: Durable store shared by every instance, once durability is on.
+    store: Optional[object] = None
+    #: Failover instances in spawn order (``<address>!<n>``, n from 1).
+    replicas: list = field(default_factory=list)
+
+    @property
+    def address(self) -> str:
+        return f"{self.kind}://{self.name}"
+
+    def derived_drbg(self, label: str) -> HmacDrbg:
+        """A DRBG for one replica or recovery, keyed by the farm secret."""
+        return HmacDrbg(self.farm_secret, f"{self.kind}-{label}".encode())
 
 
 class Deployment:
@@ -100,6 +140,40 @@ class Deployment:
         self.directory = ServiceDirectory()
         self.accounts = AccountManager()
         self.policy_manager = ChannelPolicyManager()
+        self.user_ticket_lifetime = user_ticket_lifetime
+        self.channel_ticket_lifetime = channel_ticket_lifetime
+
+        #: Per-deployment metric registry; counter sources register as
+        #: subsystems come up (durable stores, the tracer).
+        self.metrics = MetricsRegistry()
+        self.metrics.register("hotpath", hotpath_counters)
+        self.metrics.register("dataplane", dataplane_counters)
+        self.metrics.register("selection", selection_counters)
+        #: Shared resilience counter block: every retry loop, breaker,
+        #: and degraded-mode transition built against this deployment
+        #: should aggregate here so ``metrics`` reports them.
+        self.resilience = ResilienceCounters()
+        self.metrics.register("resilience", self.resilience)
+
+        # Facilities: fields the ``_wire_*`` functions read.
+        #: Shared tracer, set by :meth:`enable_tracing`.
+        self.tracer: Optional[Tracer] = None
+        #: Byzantine detection plane, set by
+        #: :meth:`enable_misbehavior_detection`: a shared
+        #: :class:`~repro.p2p.scorecard.PeerScorecard` plus its
+        #: :class:`~repro.metrics.adversary.MisbehaviorCounters`.
+        self.scorecard = None
+        self.misbehavior: Optional[MisbehaviorCounters] = None
+        self._join_rate_limit: Optional[Tuple[int, float]] = None
+        #: Sharded manager tier, set by :meth:`enable_sharding`.
+        self.sharding = None
+        #: Shared process pool, set by :meth:`enable_multicore`.
+        self.crypto_pool = None
+        #: Durable stores by component name, populated by
+        #: :meth:`enable_durability`.
+        self.stores: Dict[str, object] = {}
+        self._store_root: Optional[str] = None
+        self._store_snapshot_every: Optional[int] = None
 
         # Client image for attestation: one registered release.
         self.client_version = DEFAULT_CLIENT_VERSION
@@ -108,71 +182,27 @@ class Deployment:
         # Channel Policy Manager endpoint (clients learn it from the
         # Redirection Manager).
         cpm_key = generate_keypair(self._drbg.fork(b"cpm-key"), bits=key_bits)
-        self._cpm_endpoint = ManagerEndpoint(
-            address="cpm://main", public_key=cpm_key.public_key
-        )
         self.directory.register("cpm://main", self.policy_manager)
-        self.redirection = RedirectionManager(self._cpm_endpoint)
+        self.redirection = RedirectionManager(
+            ManagerEndpoint(address="cpm://main", public_key=cpm_key.public_key)
+        )
 
-        # Farm credentials (keypair + farm secret) outlive any single
-        # process: they are the deployment's key-management layer, and
-        # crash recovery hands them back to the rebuilt manager.
-        self._credentials: Dict[str, tuple] = {}
-        self._account_listeners: Dict[str, object] = {}
-        self._attribute_listeners: Dict[str, object] = {}
-        self._channel_list_listeners: Dict[str, object] = {}
-        self._recovery_counts: Dict[str, int] = {}
-        #: Durable stores by component name, populated by
-        #: :meth:`enable_durability`.
-        self.stores: Dict[str, object] = {}
-        self._store_root: Optional[str] = None
-        self._store_snapshot_every: Optional[int] = None
-
-        # User Manager farms, one per Authentication Domain.
+        #: One record per UM/CM farm, by address (see :meth:`farm`).
+        self._farms: Dict[str, Farm] = {}
+        # User Manager farms, one per Authentication Domain; legacy
+        # domains interleave UserINs with the domain count as stride.
         self.user_managers: Dict[str, UserManager] = {}
-        self.user_ticket_lifetime = user_ticket_lifetime
-        self.n_domains = n_domains
-        #: UserIN allocation (start, stride) per domain; recovery and
-        #: replica spawning must reuse the creation-time parameters.
-        self._user_id_params: Dict[str, tuple] = {}
         for index in range(n_domains):
-            domain = f"domain-{index}"
-            self._user_id_params[domain] = (index + 1, n_domains)
-            um_drbg = self._drbg.fork(f"um-{index}".encode())
-            um_key = generate_keypair(um_drbg.fork(b"key"), bits=key_bits)
-            um_secret = um_drbg.fork(b"secret").generate(32)
-            self._credentials[f"um://{domain}"] = (um_key, um_secret)
-            manager = UserManager(
-                signing_key=um_key,
-                farm_secret=um_secret,
-                drbg=um_drbg.fork(b"runtime"),
-                geo=self.geo,
-                ticket_lifetime=user_ticket_lifetime,
-                domain=domain,
-                user_id_start=index + 1,
-                user_id_stride=n_domains,
-            )
-            manager.register_client_image(self.client_version, self.client_image)
-            self._wire_user_manager_listeners(domain, manager)
-            address = f"um://{domain}"
-            self.directory.register(address, manager)
-            self.redirection.register_domain(
-                domain, ManagerEndpoint(address=address, public_key=manager.public_key)
-            )
-            self.user_managers[domain] = manager
+            self._new_user_farm(index, (index + 1, n_domains))
+        self._next_domain_index = n_domains
 
-        um_keys = [m.public_key for m in self.user_managers.values()]
         cpm_secret = self._drbg.fork(b"cpm-secret").generate(32)
-        self._credentials["cpm://main"] = (cpm_key, cpm_secret)
+        self._cpm_farm = Farm("cpm", "main", cpm_key, cpm_secret)
         self.policy_manager.enable_client_access(
             farm_secret=cpm_secret,
             drbg=self._drbg.fork(b"cpm-runtime"),
-            user_manager_keys=um_keys,
+            user_manager_keys=self._user_manager_keys(),
         )
-
-        # Channel Manager farms, one per partition.
-        self.channel_managers: Dict[str, ChannelManager] = {}
-        self.channel_ticket_lifetime = channel_ticket_lifetime
 
         # Peer-list pipeline: SWITCH2 lists are ranked by (same-AS,
         # same-region, spare upload capacity) by default.  The provider
@@ -193,58 +223,15 @@ class Deployment:
         self._active_peer_list_provider = self.ranked_provider
         # Churn repair reuses the ranking that builds SWITCH2 lists.
         self._repair_selector = self.ranked_provider.select_repair
+
+        # Channel Manager farms, one per partition.
+        self.channel_managers: Dict[str, ChannelManager] = {}
         for name in partitions:
-            cm_drbg = self._drbg.fork(f"cm-{name}".encode())
-            cm_key = generate_keypair(cm_drbg.fork(b"key"), bits=key_bits)
-            cm_secret = cm_drbg.fork(b"secret").generate(32)
-            self._credentials[f"cm://{name}"] = (cm_key, cm_secret)
-            manager = ChannelManager(
-                signing_key=cm_key,
-                farm_secret=cm_secret,
-                drbg=cm_drbg.fork(b"runtime"),
-                user_manager_keys=um_keys,
-                ticket_lifetime=channel_ticket_lifetime,
-                partition=name,
-            )
-            self._wire_channel_manager_listeners(name, manager)
-            manager.set_peer_list_provider(self._active_peer_list_provider)
-            self.directory.register(f"cm://{name}", manager)
-            self.channel_managers[name] = manager
+            self._new_farm("cm", name, f"cm-{name}")
+        self._next_shard_partition_index = 0
 
         self._client_counter = 0
         self._epg = None
-
-        #: Failover replicas by farm, spawned via
-        #: :meth:`add_user_manager_replicas` /
-        #: :meth:`add_channel_manager_replicas` (primary not included).
-        self.um_replicas: Dict[str, List[UserManager]] = {}
-        self.cm_replicas: Dict[str, List[ChannelManager]] = {}
-
-        #: Per-deployment metric registry; counter sources register as
-        #: subsystems come up (durable stores, the tracer).
-        self.metrics = MetricsRegistry()
-        self.metrics.register("hotpath", hotpath_counters)
-        self.metrics.register("dataplane", dataplane_counters)
-        self.metrics.register("selection", selection_counters)
-        #: Shared resilience counter block: every retry loop, breaker,
-        #: and degraded-mode transition built against this deployment
-        #: should aggregate here so ``metrics`` reports them.
-        self.resilience = ResilienceCounters()
-        self.metrics.register("resilience", self.resilience)
-        #: Shared tracer, set by :meth:`enable_tracing`.
-        self.tracer: Optional[Tracer] = None
-        #: Byzantine detection plane, set by
-        #: :meth:`enable_misbehavior_detection`: a shared
-        #: :class:`~repro.p2p.scorecard.PeerScorecard` plus its
-        #: :class:`~repro.metrics.adversary.MisbehaviorCounters`.
-        self.scorecard = None
-        self.misbehavior: Optional[MisbehaviorCounters] = None
-        #: Sharded manager tier, set by :meth:`enable_sharding`.
-        self.sharding = None
-        #: Shared process pool, set by :meth:`enable_multicore`.
-        self.crypto_pool = None
-        self._next_domain_index = n_domains
-        self._next_shard_partition_index = 0
 
     @property
     def epg(self):
@@ -255,30 +242,215 @@ class Deployment:
             self._epg = ElectronicProgramGuide(self.policy_manager)
         return self._epg
 
-    def use_uniform_peer_lists(self) -> None:
-        """Fall back to uniform sampling (the A/B baseline arm).
-
-        Points every CM farm (primaries + replicas) at the uniform
-        sampler and every overlay's churn repair at the uniform draw;
-        farms and channels created later inherit it via
-        ``_active_peer_list_provider`` / ``_repair_selector``.
-        """
-        self._active_peer_list_provider = self._peer_list_provider
-        self._repair_selector = None
-        for manager in self.channel_managers.values():
-            manager.set_peer_list_provider(self._peer_list_provider)
-        for replicas in self.cm_replicas.values():
-            for replica in replicas:
-                replica.set_peer_list_provider(self._peer_list_provider)
-        for overlay in self.overlays.values():
-            overlay.repair_selector = None
-
     def analytics_for(self, channel_id: str):
         """Viewing analytics over the channel's partition log."""
         from repro.core.analytics import ViewingAnalytics
 
         manager = self.channel_manager_for(channel_id)
         return ViewingAnalytics(manager.viewing_log(), manager.ticket_lifetime)
+
+    # ------------------------------------------------------------------
+    # Farms: one record each, one place an instance comes to exist
+    # ------------------------------------------------------------------
+
+    def farm(self, address: str) -> Farm:
+        """The record of the farm at ``um://<domain>`` / ``cm://<partition>``."""
+        farm = self._farms.get(address)
+        if farm is None:
+            raise ReproError(f"unknown farm: {address}")
+        return farm
+
+    @property
+    def um_replicas(self) -> Dict[str, List[UserManager]]:
+        """Failover User Managers by domain (primaries not included)."""
+        return {f.name: f.replicas for f in self._farms_of("um") if f.replicas}
+
+    @property
+    def cm_replicas(self) -> Dict[str, List[ChannelManager]]:
+        """Failover Channel Managers by partition (primaries not included)."""
+        return {f.name: f.replicas for f in self._farms_of("cm") if f.replicas}
+
+    def _farms_of(self, kind: str) -> List[Farm]:
+        return [farm for farm in self._farms.values() if farm.kind == kind]
+
+    def _primaries(self, farm: Farm) -> dict:
+        return self.user_managers if farm.kind == "um" else self.channel_managers
+
+    def _instances(self, farm: Farm) -> list:
+        """A farm's live instances: the primary (unless crashed), then replicas."""
+        primary = self._primaries(farm).get(farm.name)
+        return ([] if primary is None else [primary]) + farm.replicas
+
+    def live_managers(self, kind: str) -> Iterator:
+        """Every live manager instance of one kind (``"um"`` / ``"cm"``)."""
+        for farm in self._farms_of(kind):
+            yield from self._instances(farm)
+
+    def _user_manager_keys(self) -> list:
+        # From the farm records, not the live primaries: a verifier
+        # stood up while a domain is down must still accept its tickets.
+        return [farm.signing_key.public_key for farm in self._farms_of("um")]
+
+    def _new_farm(self, kind: str, name: str, label: str, user_id_params=(1, 1)):
+        """Draw a new farm's credentials and stand its primary up.  The
+        draw order (``label`` fork, then ``key``, ``secret``, ``runtime``
+        off it) is load-bearing: ``HmacDrbg.fork`` consumes parent
+        output, so every seeded transcript depends on it."""
+        drbg = self._drbg.fork(label.encode())
+        signing_key = generate_keypair(drbg.fork(b"key"), bits=self.key_bits)
+        farm_secret = drbg.fork(b"secret").generate(32)
+        farm = Farm(kind, name, signing_key, farm_secret, user_id_params)
+        self._farms[farm.address] = farm
+        return self._stand_up(farm, drbg.fork(b"runtime"))
+
+    def _new_user_farm(self, index: int, user_id_params: Tuple[int, int]) -> UserManager:
+        return self._new_farm("um", f"domain-{index}", f"um-{index}", user_id_params)
+
+    def _build_manager(self, farm: Farm, drbg: HmacDrbg, recover: bool):
+        """The one place a User / Channel Manager is constructed -- or,
+        with ``recover``, replayed from its farm's store."""
+        settings = dict(
+            signing_key=farm.signing_key, farm_secret=farm.farm_secret, drbg=drbg
+        )
+        if recover:
+            settings["snapshot_every"] = self._store_snapshot_every
+        if farm.kind == "um":
+            user_id_start, user_id_stride = farm.user_id_params
+            settings.update(
+                geo=self.geo,
+                ticket_lifetime=self.user_ticket_lifetime,
+                domain=farm.name,
+                user_id_start=user_id_start,
+                user_id_stride=user_id_stride,
+            )
+            if recover:
+                return UserManager.recover(farm.store, **settings)
+            return UserManager(**settings)
+        settings.update(
+            user_manager_keys=self._user_manager_keys(),
+            ticket_lifetime=self.channel_ticket_lifetime,
+            partition=farm.name,
+        )
+        if recover:
+            return ChannelManager.recover(farm.store, **settings)
+        return ChannelManager(**settings)
+
+    def _stand_up(self, farm: Farm, drbg: HmacDrbg, replica: int = 0, recover: bool = False):
+        """Bring one instance of a farm to life: build, join, wire, register.
+
+        Every instance takes this path -- first primary, late partition,
+        reshard target, replica ``n`` (at ``<address>!<n>``) or crash
+        recovery.  Section V: farm instances share one user database /
+        viewing log, so a new replica *and a recovered instance* adopt a
+        live sibling's shared objects (every sibling mutation was
+        journaled to the farm's store, so what recovery replayed is
+        content-equal): the one-viewing-location rule only holds if
+        whichever instance handles a renewal consults the same index.
+        """
+        address = f"{farm.address}!{replica}" if replica else farm.address
+        manager = self._build_manager(farm, drbg, recover)
+        siblings = self._instances(farm)
+        if siblings:
+            siblings[0].share_state_with(manager)
+        if farm.kind == "um":
+            self.policy_manager.add_attribute_list_listener(
+                manager.receive_channel_attribute_list
+            )
+            self.accounts.add_listener(manager.sync_account)
+            endpoint = ManagerEndpoint(address=address, public_key=manager.public_key)
+            if replica:
+                self.redirection.add_replica(farm.name, endpoint)
+            elif recover:
+                self.redirection.mark_up(address)
+            else:
+                manager.register_client_image(self.client_version, self.client_image)
+                self.redirection.register_domain(farm.name, endpoint)
+        else:
+            self.policy_manager.add_channel_list_listener(manager.receive_channel_list)
+        self.directory.register(address, manager)
+        if farm.store is not None and not recover:
+            manager.attach_store(farm.store, snapshot_every=self._store_snapshot_every)
+        self._wire_manager(manager)
+        if replica:
+            farm.replicas.append(manager)
+        else:
+            self._primaries(farm)[farm.name] = manager
+        return manager
+
+    def _add_replicas(self, farm: Farm, count: int) -> list:
+        if farm.name not in self._primaries(farm):
+            raise ReproError(f"{farm.address} has no live primary")
+        created = []
+        for _ in range(count):
+            n = len(farm.replicas) + 1
+            drbg = farm.derived_drbg(f"{farm.name}-replica-{n}")
+            created.append(self._stand_up(farm, drbg, replica=n))
+        return created
+
+    def _crash(self, farm: Farm):
+        dead = self._primaries(farm).pop(farm.name, None)
+        if dead is None:
+            raise ReproError(f"{farm.address} has no live primary")
+        if farm.kind == "um":
+            self.policy_manager.remove_attribute_list_listener(
+                dead.receive_channel_attribute_list
+            )
+            self.accounts.remove_listener(dead.sync_account)
+            self.redirection.mark_down(farm.address)
+        else:
+            self.policy_manager.remove_channel_list_listener(dead.receive_channel_list)
+        self.directory.unregister(farm.address)
+        return dead
+
+    def _recover(self, farm: Farm):
+        if farm.store is None:
+            raise ReproError(f"no durable store for {farm.address}")
+        farm.generation += 1
+        drbg = farm.derived_drbg(f"recovery-{farm.generation}")
+        return self._stand_up(farm, drbg, recover=True)
+
+    # ------------------------------------------------------------------
+    # Facility wiring: the only code that attaches a facility
+    # ------------------------------------------------------------------
+
+    def _wire_manager(self, manager) -> None:
+        manager.tracer = self.tracer
+        if isinstance(manager, ChannelManager):
+            manager.set_peer_list_provider(self._active_peer_list_provider)
+            if self._join_rate_limit is not None:
+                manager.set_join_rate_limit(*self._join_rate_limit)
+                manager.rate_limit_listener = self._on_rate_limited
+            if self.sharding is not None:
+                self.sharding.install_router(manager)
+
+    def _wire_channel(self, server: ChannelServer, overlay: ChannelOverlay) -> None:
+        server.tracer = overlay.source.tracer = self.tracer
+        server.crypto_pool = overlay.source.crypto_pool = self.crypto_pool
+        overlay.scorecard = self.scorecard
+        overlay.repair_selector = self._repair_selector
+
+    def _wire_client(self, client: Client) -> None:
+        client.tracer = self.tracer
+
+    def _wire_peer(self, peer: Peer) -> None:
+        peer.tracer = self.tracer
+        peer.crypto_pool = self.crypto_pool
+        peer.scorecard = self.scorecard
+        if self.scorecard is not None:
+            self.scorecard.note_address(peer.peer_id, peer.address)
+
+    def _wire_all(self) -> None:
+        """Re-apply every facility to everything live (each is idempotent)."""
+        self.redirection.tracer = self.tracer
+        if self.scorecard is not None:
+            self.scorecard.tracer = self.tracer
+        for farm in self._farms.values():
+            for manager in self._instances(farm):
+                self._wire_manager(manager)
+        for channel_id, overlay in self.overlays.items():
+            self._wire_channel(self.servers[channel_id], overlay)
+            for peer in overlay.peers.values():
+                self._wire_peer(peer)
 
     # ------------------------------------------------------------------
     # Channel provisioning
@@ -289,6 +461,16 @@ class Deployment:
         if overlay is None:
             return []
         return overlay.sample_peers(channel_id, exclude_addr, count)
+
+    def use_uniform_peer_lists(self) -> None:
+        """Fall back to uniform sampling (the A/B baseline arm).
+
+        Points every CM instance at the uniform sampler and every
+        overlay's churn repair at the uniform draw, now and later.
+        """
+        self._active_peer_list_provider = self._peer_list_provider
+        self._repair_selector = None
+        self._wire_all()
 
     def add_channel(
         self,
@@ -333,15 +515,7 @@ class Deployment:
             source_capacity=self.source_capacity,
             substream_count=self.substream_count,
         )
-        overlay.repair_selector = self._repair_selector
-        if self.scorecard is not None:
-            overlay.scorecard = self.scorecard
-        if self.tracer is not None:
-            server.tracer = self.tracer
-            overlay.source.tracer = self.tracer
-        if self.crypto_pool is not None:
-            server.crypto_pool = self.crypto_pool
-            overlay.source.crypto_pool = self.crypto_pool
+        self._wire_channel(server, overlay)
         self.servers[channel_id] = server
         self.overlays[channel_id] = overlay
 
@@ -398,40 +572,12 @@ class Deployment:
 
     def add_partition(self, name: str) -> ChannelManager:
         """Stand up a new Channel Listing Partition (CM farm) at runtime."""
-        if name in self.channel_managers:
+        if f"cm://{name}" in self._farms:
             raise ReproError(f"partition exists: {name}")
-        um_keys = [m.public_key for m in self.user_managers.values()]
-        cm_drbg = self._drbg.fork(f"cm-{name}".encode())
-        cm_key = generate_keypair(cm_drbg.fork(b"key"), bits=self.key_bits)
-        cm_secret = cm_drbg.fork(b"secret").generate(32)
-        self._credentials[f"cm://{name}"] = (cm_key, cm_secret)
-        manager = ChannelManager(
-            signing_key=cm_key,
-            farm_secret=cm_secret,
-            drbg=cm_drbg.fork(b"runtime"),
-            user_manager_keys=um_keys,
-            ticket_lifetime=self.channel_ticket_lifetime,
-            partition=name,
-        )
-        self._wire_channel_manager_listeners(name, manager)
-        manager.set_peer_list_provider(self._active_peer_list_provider)
-        self.directory.register(f"cm://{name}", manager)
-        self.channel_managers[name] = manager
-        if self.tracer is not None:
-            manager.tracer = self.tracer
-        if self.crypto_pool is not None:
-            manager.use_signing_pool(self.crypto_pool)
-        if self.sharding is not None:
-            self.sharding.install_router(manager)
+        self._new_farm("cm", name, f"cm-{name}")
         if self.stores:
-            store = self._make_store(f"cm-{name}")
-            if store.has_state():
-                # A previous process already ran this partition: recover
-                # its state instead of snapshotting the fresh farm over it.
-                self.crash_channel_manager(name)
-                return self.recover_channel_manager(name)
-            manager.attach_store(store, snapshot_every=self._store_snapshot_every)
-        return manager
+            self._open_farm_store(self.farm(f"cm://{name}"))
+        return self.channel_managers[name]
 
     def promote_channel(self, channel_id: str, partition: str, now: float) -> None:
         """Move a (popular) channel onto its own partition (Section V).
@@ -507,31 +653,13 @@ class Deployment:
         """Attach one shared tracer to every protocol component.
 
         Components created *after* this call (clients, peers, channels,
-        recovered managers) pick the tracer up automatically.  Returns
-        the tracer so callers can pull reports from it.
+        replicas, recovered managers) pick the tracer up automatically.
+        Returns the tracer so callers can pull reports from it.
         """
         if tracer is None:
             tracer = Tracer()
         self.tracer = tracer
-        self.redirection.tracer = tracer
-        for manager in self.user_managers.values():
-            manager.tracer = tracer
-        for manager in self.channel_managers.values():
-            manager.tracer = tracer
-        for replicas in self.um_replicas.values():
-            for replica in replicas:
-                replica.tracer = tracer
-        for replicas in self.cm_replicas.values():
-            for replica in replicas:
-                replica.tracer = tracer
-        for server in self.servers.values():
-            server.tracer = tracer
-        for overlay in self.overlays.values():
-            overlay.source.tracer = tracer
-            for peer in overlay.peers.values():
-                peer.tracer = tracer
-        if self.scorecard is not None:
-            self.scorecard.tracer = tracer
+        self._wire_all()
         self.metrics.register("trace", tracer)
         return tracer
 
@@ -551,8 +679,9 @@ class Deployment:
         attached to every overlay and peer (existing and future), its
         counters are registered as the ``adversary`` metrics subsystem,
         and -- when ``join_rate_limit=(limit, window)`` is given --
-        every Channel Manager gains a per-address SWITCH rate limiter
-        whose refusals feed the scorecard.  Returns the scorecard.
+        every Channel Manager instance (existing and future) gains a
+        per-address SWITCH rate limiter whose refusals feed the
+        scorecard.  Returns the scorecard.
         """
         if self.scorecard is not None:
             return self.scorecard
@@ -563,20 +692,9 @@ class Deployment:
             counters=self.misbehavior,
             tracer=self.tracer,
         )
+        self._join_rate_limit = join_rate_limit
         self.metrics.register("adversary", self.misbehavior)
-        for overlay in self.overlays.values():
-            overlay.scorecard = self.scorecard
-            for peer in overlay.peers.values():
-                peer.scorecard = self.scorecard
-                self.scorecard.note_address(peer.peer_id, peer.address)
-        if join_rate_limit is not None:
-            limit, window = join_rate_limit
-            managers = list(self.channel_managers.values())
-            for replicas in self.cm_replicas.values():
-                managers.extend(replicas)
-            for manager in managers:
-                manager.set_join_rate_limit(limit, window)
-                manager.rate_limit_listener = self._on_rate_limited
+        self._wire_all()
         return self.scorecard
 
     def _on_rate_limited(self, observed_addr: str, now: float) -> None:
@@ -600,63 +718,31 @@ class Deployment:
         return evicted
 
     def enable_multicore(self, workers: Optional[int] = None, pool=None):
-        """Put the crypto plane behind a process pool.
+        """Put the batch crypto plane behind a process pool.
 
         Attaches one shared :class:`~repro.parallel.pool.CryptoPool`
-        to every component with offloadable work: channel servers and
-        overlay sources (GOP batch sealing), overlay peers (key
-        fan-out), and every manager and replica (ticket signing via
-        :class:`~repro.parallel.pool.PooledSigningKey`).  Components
-        created afterwards pick the pool up automatically, mirroring
-        :meth:`enable_tracing`.  Outputs are byte-identical to the
-        in-process paths, and worker counter deltas are merged back so
-        ``metrics`` stays exact.  ``workers=None`` sizes the pool to
-        the machine; on platforms without ``fork`` the pool runs its
-        inline fallback and everything still works.  Returns the pool
-        (register ``pool.stats`` shows up under ``"multicore"``).
+        to every component with batch work to offload, existing and
+        future: channel servers and overlay sources (GOP batch
+        sealing), overlay peers (key fan-out).  Outputs are
+        byte-identical to the in-process paths, and worker counter
+        deltas are merged back so ``metrics`` stays exact.
+        ``workers=None`` sizes the pool to the machine; on platforms
+        without ``fork`` the pool runs its inline fallback.  Returns
+        the pool (``pool.stats`` shows up under ``"multicore"``).
         """
         from repro.parallel.pool import CryptoPool
 
         if pool is None:
             pool = CryptoPool(workers=workers)
         self.crypto_pool = pool
-        for manager in self.user_managers.values():
-            manager.use_signing_pool(pool)
-        for manager in self.channel_managers.values():
-            manager.use_signing_pool(pool)
-        for replicas in self.um_replicas.values():
-            for replica in replicas:
-                replica.use_signing_pool(pool)
-        for replicas in self.cm_replicas.values():
-            for replica in replicas:
-                replica.use_signing_pool(pool)
-        for server in self.servers.values():
-            server.crypto_pool = pool
-        for overlay in self.overlays.values():
-            overlay.source.crypto_pool = pool
-            for peer in overlay.peers.values():
-                peer.crypto_pool = pool
+        self._wire_all()
         self.metrics.register("multicore", pool.stats)
         return pool
 
     # ------------------------------------------------------------------
-    # Durability and crash recovery (see repro.store, repro.sim.faults)
+    # Durability, crash recovery and replicas (see repro.store,
+    # repro.sim.faults, repro.resilience)
     # ------------------------------------------------------------------
-
-    def _wire_user_manager_listeners(self, domain: str, manager: UserManager) -> None:
-        """(Re-)subscribe a UM instance to CPM and Account pushes."""
-        attribute_listener = manager.receive_channel_attribute_list
-        self.policy_manager.add_attribute_list_listener(attribute_listener)
-        self._attribute_listeners[domain] = attribute_listener
-        account_listener = lambda account, m=manager: m.sync_account(account)
-        self.accounts.add_listener(account_listener)
-        self._account_listeners[domain] = account_listener
-
-    def _wire_channel_manager_listeners(self, name: str, manager: ChannelManager) -> None:
-        """(Re-)subscribe a CM instance to Channel List pushes."""
-        listener = manager.receive_channel_list
-        self.policy_manager.add_channel_list_listener(listener)
-        self._channel_list_listeners[name] = listener
 
     def _make_store(self, name: str):
         from repro.store import DurableStore, FileBackend, MemoryBackend
@@ -664,13 +750,39 @@ class Deployment:
         if self._store_root is None:
             backend = MemoryBackend()
         else:
-            import os
-
             backend = FileBackend(os.path.join(self._store_root, name))
         store = DurableStore(backend)
         self.stores[name] = store
         self.metrics.register(f"store.{name}", store.stats)
         return store
+
+    def _open_farm_store(self, farm: Farm) -> None:
+        """Give a farm its durable store -- the one non-idempotent facility.
+
+        ``attach_store`` snapshots the live state into the store, so a
+        store that already ``has_state()`` (a previous process ran this
+        farm) means *recover* the primary from it, never attach.
+        """
+        farm.store = store = self._make_store(f"{farm.kind}-{farm.name}")
+        if not store.has_state():
+            for manager in self._instances(farm):
+                manager.attach_store(store, snapshot_every=self._store_snapshot_every)
+        elif farm.replicas:
+            # Fresh replicas are no survivors of the previous process:
+            # the recovered primary must not adopt their empty state.
+            raise ReproError(f"{farm.address}: enable durability before adding replicas")
+        else:
+            self._crash(farm)
+            self._recover(farm)
+
+    def _attach_viewing_stores(self) -> None:
+        """Journal each viewing partition once durability *and* sharding
+        are on -- whichever comes second, and every later shard, lands here."""
+        if self.sharding is None or not self.stores:
+            return
+        for name, partition in self.sharding.viewing.partitions().items():
+            if f"viewing-{name}" not in self.stores:
+                partition.attach_store(self._make_store(f"viewing-{name}"))
 
     def enable_durability(
         self, root: Optional[str] = None, snapshot_every: Optional[int] = None
@@ -689,169 +801,69 @@ class Deployment:
         the fresh in-memory state over it -- pointing a restarted
         deployment at its old root never destroys data.  Build the
         deployment with the same ``seed`` so key management re-derives
-        the farm credentials the persisted tickets expect.
+        the farm credentials the persisted tickets expect, and add
+        replicas after this call.
         """
         self._store_root = root
         self._store_snapshot_every = snapshot_every
 
-        cpm_store = self._make_store("cpm")
+        self._cpm_farm.store = cpm_store = self._make_store("cpm")
         if cpm_store.has_state():
-            self._recover_policy_manager(cpm_store)
+            self._recover_policy_manager()
         else:
             self.policy_manager.attach_store(cpm_store, snapshot_every=snapshot_every)
-
-        for domain in list(self.user_managers):
-            store = self._make_store(f"um-{domain}")
-            if store.has_state():
-                self.crash_user_manager(domain)
-                self.recover_user_manager(domain)
-            else:
-                self.user_managers[domain].attach_store(
-                    store, snapshot_every=snapshot_every
-                )
-
-        for name in list(self.channel_managers):
-            store = self._make_store(f"cm-{name}")
-            if store.has_state():
-                self.crash_channel_manager(name)
-                self.recover_channel_manager(name)
-            else:
-                self.channel_managers[name].attach_store(
-                    store, snapshot_every=snapshot_every
-                )
-
-        if self.sharding is not None:
-            for name, partition in self.sharding.viewing.partitions().items():
-                partition.attach_store(self._make_store(f"viewing-{name}"))
+        for farm in self._farms.values():
+            self._open_farm_store(farm)
+        self._attach_viewing_stores()
         return self.stores
 
-    def _recover_policy_manager(self, store) -> ChannelPolicyManager:
+    def _recover_policy_manager(self) -> None:
         """Rebuild the Channel Policy Manager from a pre-existing store.
 
         The recovered instance takes over the old one's directory
-        binding and listener registrations; registering the stashed
-        listeners pushes the recovered Channel (Attribute) List to the
-        live User/Channel Managers immediately.
+        binding; re-subscribing the live User/Channel Managers pushes
+        the recovered Channel (Attribute) List to them immediately.
         """
-        generation = self._recovery_counts.get("cpm://main", 0) + 1
-        self._recovery_counts["cpm://main"] = generation
-        _cpm_key, cpm_secret = self._credentials["cpm://main"]
+        farm = self._cpm_farm
+        farm.generation += 1
         manager = ChannelPolicyManager.recover(
-            store, snapshot_every=self._store_snapshot_every
+            farm.store, snapshot_every=self._store_snapshot_every
         )
         manager.enable_client_access(
-            farm_secret=cpm_secret,
-            drbg=HmacDrbg(cpm_secret, f"cpm-recovery-{generation}".encode()),
-            user_manager_keys=[m.public_key for m in self.user_managers.values()],
+            farm_secret=farm.farm_secret,
+            drbg=farm.derived_drbg(f"recovery-{farm.generation}"),
+            user_manager_keys=self._user_manager_keys(),
         )
         self.policy_manager = manager
         self.directory.register("cpm://main", manager)
-        for listener in self._attribute_listeners.values():
-            manager.add_attribute_list_listener(listener)
-        for listener in self._channel_list_listeners.values():
-            manager.add_channel_list_listener(listener)
+        for um in self.live_managers("um"):
+            manager.add_attribute_list_listener(um.receive_channel_attribute_list)
+        for cm in self.live_managers("cm"):
+            manager.add_channel_list_listener(cm.receive_channel_list)
         self._epg = None
-        return manager
 
     def crash_channel_manager(self, partition: str) -> ChannelManager:
-        """Kill a Channel Manager farm process.
+        """Kill a Channel Manager farm's primary process.
 
         The manager object is unhooked from every feed and the
-        directory -- only its durable store, and the farm credentials
-        held by the deployment's key management, survive.  Returns the
-        dead instance (tests compare its state against the recovered
-        one).
+        directory -- only its durable store, the farm record held by
+        the deployment's key management, and any replicas survive.
+        Returns the dead instance (tests compare its state against the
+        recovered one).
         """
-        dead = self.channel_managers.pop(partition, None)
-        if dead is None:
-            raise ReproError(f"unknown partition: {partition}")
-        listener = self._channel_list_listeners.pop(partition, None)
-        if listener is not None:
-            self.policy_manager.remove_channel_list_listener(listener)
-        self.directory.unregister(f"cm://{partition}")
-        return dead
+        return self._crash(self.farm(f"cm://{partition}"))
 
     def recover_channel_manager(self, partition: str) -> ChannelManager:
         """Rebuild a crashed Channel Manager from its durable store."""
-        store = self.stores.get(f"cm-{partition}")
-        if store is None:
-            raise ReproError(f"no durable store for partition {partition!r}")
-        credentials = self._credentials.get(f"cm://{partition}")
-        if credentials is None:
-            raise ReproError(f"no credentials for partition {partition!r}")
-        signing_key, farm_secret = credentials
-        generation = self._recovery_counts.get(f"cm://{partition}", 0) + 1
-        self._recovery_counts[f"cm://{partition}"] = generation
-        manager = ChannelManager.recover(
-            store,
-            signing_key=signing_key,
-            farm_secret=farm_secret,
-            drbg=HmacDrbg(farm_secret, f"cm-recovery-{generation}".encode()),
-            user_manager_keys=[m.public_key for m in self.user_managers.values()],
-            ticket_lifetime=self.channel_ticket_lifetime,
-            partition=partition,
-            snapshot_every=self._store_snapshot_every,
-        )
-        self.channel_managers[partition] = manager
-        self._wire_channel_manager_listeners(partition, manager)
-        manager.set_peer_list_provider(self._active_peer_list_provider)
-        self.directory.register(f"cm://{partition}", manager)
-        if self.tracer is not None:
-            manager.tracer = self.tracer
-        if self.sharding is not None:
-            self.sharding.install_router(manager)
-        return manager
+        return self._recover(self.farm(f"cm://{partition}"))
 
     def crash_user_manager(self, domain: str) -> UserManager:
-        """Kill a User Manager farm process (see crash_channel_manager)."""
-        dead = self.user_managers.pop(domain, None)
-        if dead is None:
-            raise ReproError(f"unknown domain: {domain}")
-        attribute_listener = self._attribute_listeners.pop(domain, None)
-        if attribute_listener is not None:
-            self.policy_manager.remove_attribute_list_listener(attribute_listener)
-        account_listener = self._account_listeners.pop(domain, None)
-        if account_listener is not None:
-            self.accounts.remove_listener(account_listener)
-        self.directory.unregister(f"um://{domain}")
-        self.redirection.mark_down(f"um://{domain}")
-        return dead
+        """Kill a User Manager farm's primary (see crash_channel_manager)."""
+        return self._crash(self.farm(f"um://{domain}"))
 
     def recover_user_manager(self, domain: str) -> UserManager:
         """Rebuild a crashed User Manager from its durable store."""
-        store = self.stores.get(f"um-{domain}")
-        if store is None:
-            raise ReproError(f"no durable store for domain {domain!r}")
-        credentials = self._credentials.get(f"um://{domain}")
-        if credentials is None:
-            raise ReproError(f"no credentials for domain {domain!r}")
-        signing_key, farm_secret = credentials
-        generation = self._recovery_counts.get(f"um://{domain}", 0) + 1
-        self._recovery_counts[f"um://{domain}"] = generation
-        user_id_start, user_id_stride = self._user_id_params[domain]
-        manager = UserManager.recover(
-            store,
-            signing_key=signing_key,
-            farm_secret=farm_secret,
-            drbg=HmacDrbg(farm_secret, f"um-recovery-{generation}".encode()),
-            geo=self.geo,
-            ticket_lifetime=self.user_ticket_lifetime,
-            domain=domain,
-            user_id_start=user_id_start,
-            user_id_stride=user_id_stride,
-            snapshot_every=self._store_snapshot_every,
-        )
-        self.user_managers[domain] = manager
-        self._wire_user_manager_listeners(domain, manager)
-        self.directory.register(f"um://{domain}", manager)
-        self.redirection.mark_up(f"um://{domain}")
-        if self.tracer is not None:
-            manager.tracer = self.tracer
-        return manager
-
-    # ------------------------------------------------------------------
-    # Manager replicas (see repro.resilience)
-    # ------------------------------------------------------------------
+        return self._recover(self.farm(f"um://{domain}"))
 
     def add_user_manager_replicas(self, domain: str, count: int) -> List[UserManager]:
         """Spawn ``count`` extra instances of a User Manager farm.
@@ -863,41 +875,7 @@ class Deployment:
         published to the Redirection Manager as a failover target at
         ``um://<domain>!<n>``.
         """
-        primary = self.user_managers.get(domain)
-        if primary is None:
-            raise ReproError(f"unknown domain: {domain}")
-        signing_key, farm_secret = self._credentials[f"um://{domain}"]
-        user_id_start, user_id_stride = self._user_id_params[domain]
-        replicas = self.um_replicas.setdefault(domain, [])
-        created: List[UserManager] = []
-        store = self.stores.get(f"um-{domain}")
-        for _ in range(count):
-            n = len(replicas) + 1
-            replica = UserManager(
-                signing_key=signing_key,
-                farm_secret=farm_secret,
-                drbg=HmacDrbg(farm_secret, f"um-{domain}-replica-{n}".encode()),
-                geo=self.geo,
-                ticket_lifetime=self.user_ticket_lifetime,
-                domain=domain,
-                user_id_start=user_id_start,
-                user_id_stride=user_id_stride,
-            )
-            replica.register_client_image(self.client_version, self.client_image)
-            primary.share_state_with(replica)
-            self._wire_user_manager_listeners(f"{domain}!{n}", replica)
-            address = f"um://{domain}!{n}"
-            self.directory.register(address, replica)
-            self.redirection.add_replica(
-                domain, ManagerEndpoint(address=address, public_key=replica.public_key)
-            )
-            if store is not None:
-                replica.attach_store(store, snapshot_every=self._store_snapshot_every)
-            if self.tracer is not None:
-                replica.tracer = self.tracer
-            replicas.append(replica)
-            created.append(replica)
-        return created
+        return self._add_replicas(self.farm(f"um://{domain}"), count)
 
     def add_channel_manager_replicas(
         self, partition: str, count: int
@@ -905,42 +883,11 @@ class Deployment:
         """Spawn ``count`` extra instances of a Channel Manager farm.
 
         Replicas share the primary's viewing log *by reference* --
-        Section V's farm contract, and the load-bearing detail for the
-        one-viewing-location rule surviving failover: whichever
-        instance handles a renewal consults the same latest-entry
-        index.  Published in the directory at ``cm://<partition>!<n>``.
+        Section V's farm contract, which the one-viewing-location rule
+        needs to survive failover (see :meth:`_stand_up`).  Published
+        in the directory at ``cm://<partition>!<n>``.
         """
-        primary = self.channel_managers.get(partition)
-        if primary is None:
-            raise ReproError(f"unknown partition: {partition}")
-        signing_key, farm_secret = self._credentials[f"cm://{partition}"]
-        um_keys = [m.public_key for m in self.user_managers.values()]
-        replicas = self.cm_replicas.setdefault(partition, [])
-        created: List[ChannelManager] = []
-        store = self.stores.get(f"cm-{partition}")
-        for _ in range(count):
-            n = len(replicas) + 1
-            replica = ChannelManager(
-                signing_key=signing_key,
-                farm_secret=farm_secret,
-                drbg=HmacDrbg(farm_secret, f"cm-{partition}-replica-{n}".encode()),
-                user_manager_keys=um_keys,
-                ticket_lifetime=self.channel_ticket_lifetime,
-                partition=partition,
-            )
-            primary.share_state_with(replica)
-            self._wire_channel_manager_listeners(f"{partition}!{n}", replica)
-            replica.set_peer_list_provider(self._active_peer_list_provider)
-            if self.sharding is not None:
-                self.sharding.install_router(replica)
-            self.directory.register(f"cm://{partition}!{n}", replica)
-            if store is not None:
-                replica.attach_store(store, snapshot_every=self._store_snapshot_every)
-            if self.tracer is not None:
-                replica.tracer = self.tracer
-            replicas.append(replica)
-            created.append(replica)
-        return created
+        return self._add_replicas(self.farm(f"cm://{partition}"), count)
 
     # ------------------------------------------------------------------
     # Sharded manager tier (see repro.sharding)
@@ -954,9 +901,7 @@ class Deployment:
         log by user, and installs shard-aware placement into the
         Redirection Manager and every Channel Manager instance.
         Idempotent; returns the :class:`~repro.sharding.ShardingRuntime`.
-
-        Call after :meth:`enable_durability` if both are wanted: the
-        viewing partitions attach their stores at sharding time.
+        Works before or after :meth:`enable_durability`.
         """
         if self.sharding is not None:
             return self.sharding
@@ -968,36 +913,55 @@ class Deployment:
         )
         self.sharding = runtime
         self.metrics.register("sharding", runtime.counters)
-        if self.stores:
-            for name, partition in runtime.viewing.partitions().items():
-                partition.attach_store(self._make_store(f"viewing-{name}"))
+        self._wire_all()
+        self._attach_viewing_stores()
         return runtime
+
+    def stand_up_user_manager_shard(self):
+        """Stand one new Authentication Domain up cold; plan its reshard-in.
+
+        The new domain is a fresh farm with a full account sync and a
+        disjoint UserIN high band ((index+1) << 32, stride 1): the
+        legacy domains interleave ids with the *original* domain count
+        as stride, so a late-added shard must not re-use that scheme or
+        its allocations would collide with theirs.  Returns the
+        :class:`~repro.sharding.reshard.ReshardPlan` for the caller to
+        ``execute`` (``plan.target`` is the domain name).
+        """
+        runtime = self.enable_sharding()
+        index = self._next_domain_index
+        self._next_domain_index += 1
+        manager = self._new_user_farm(index, ((index + 1) << 32, 1))
+        # Every domain replicates the full account base (Section V);
+        # listeners only cover future pushes, so backfill the rest.
+        for account in self.accounts.all_accounts():
+            manager.sync_account(account)
+        # Downstream verifiers must accept the new domain's tickets.
+        self.policy_manager.add_user_manager_key(manager.public_key)
+        for cm in self.live_managers("cm"):
+            cm.add_user_manager_key(manager.public_key)
+        if self.stores:
+            self._open_farm_store(self.farm(f"um://{manager.domain}"))
+        runtime.attach_user_shard(manager.domain)
+        self._attach_viewing_stores()
+        return runtime.coordinator.plan_add_user_shard(manager.domain)
 
     def add_user_manager_shards(self, count: int = 1) -> List[str]:
         """Grow the UM tier by ``count`` Authentication Domain shards.
 
-        Each new domain is stood up cold (fresh farm, full account
-        sync, disjoint UserIN band), then *live-resharded* in: the
-        coordinator freezes the moving key range, migrates UserDB rows
-        and viewing histories, and cuts the directory over -- roughly
-        1/N of users move per added shard, everyone else is untouched.
-        Returns the new domain names.
+        Each new domain is stood up cold
+        (:meth:`stand_up_user_manager_shard`), then *live-resharded*
+        in: the coordinator freezes the moving key range, migrates
+        UserDB rows and viewing histories, and cuts the directory over
+        -- roughly 1/N of users move per added shard, everyone else is
+        untouched.  Returns the new domain names.
         """
         runtime = self.enable_sharding()
         added: List[str] = []
         for _ in range(count):
-            index = self._next_domain_index
-            self._next_domain_index += 1
-            domain = f"domain-{index}"
-            self._spawn_user_manager_shard(domain, index)
-            runtime.attach_user_shard(domain)
-            if self.stores:
-                runtime.viewing.partition(domain).attach_store(
-                    self._make_store(f"viewing-{domain}")
-                )
-            plan = runtime.coordinator.plan_add_user_shard(domain)
+            plan = self.stand_up_user_manager_shard()
             runtime.coordinator.execute(plan)
-            added.append(domain)
+            added.append(plan.target)
         return added
 
     def add_channel_manager_shards(self, count: int = 1) -> List[str]:
@@ -1012,90 +976,15 @@ class Deployment:
         runtime = self.enable_sharding()
         added: List[str] = []
         for _ in range(count):
-            index = self._next_shard_partition_index
-            self._next_shard_partition_index += 1
-            name = f"partition-{index}"
-            while name in self.channel_managers:
-                index = self._next_shard_partition_index
+            name = None
+            while name is None or f"cm://{name}" in self._farms:
+                name = f"partition-{self._next_shard_partition_index}"
                 self._next_shard_partition_index += 1
-                name = f"partition-{index}"
             self.add_partition(name)
             plan = runtime.coordinator.plan_add_channel_shard(name)
             runtime.coordinator.execute(plan)
             added.append(name)
         return added
-
-    def _spawn_user_manager_shard(self, domain: str, index: int) -> UserManager:
-        """Stand up one new UM farm for live reshard-in.
-
-        The new domain allocates UserINs from a disjoint high band
-        ((index+1) << 32, stride 1): the legacy domains interleave ids
-        with the *original* domain count as stride, so a late-added
-        shard must not re-use that scheme or its allocations would
-        collide with theirs.
-        """
-        user_id_start = (index + 1) << 32
-        self._user_id_params[domain] = (user_id_start, 1)
-        um_drbg = self._drbg.fork(f"um-{index}".encode())
-        um_key = generate_keypair(um_drbg.fork(b"key"), bits=self.key_bits)
-        um_secret = um_drbg.fork(b"secret").generate(32)
-        self._credentials[f"um://{domain}"] = (um_key, um_secret)
-        manager = UserManager(
-            signing_key=um_key,
-            farm_secret=um_secret,
-            drbg=um_drbg.fork(b"runtime"),
-            geo=self.geo,
-            ticket_lifetime=self.user_ticket_lifetime,
-            domain=domain,
-            user_id_start=user_id_start,
-            user_id_stride=1,
-        )
-        manager.register_client_image(self.client_version, self.client_image)
-        self._wire_user_manager_listeners(domain, manager)
-        address = f"um://{domain}"
-        self.directory.register(address, manager)
-        self.redirection.register_domain(
-            domain, ManagerEndpoint(address=address, public_key=manager.public_key)
-        )
-        self.user_managers[domain] = manager
-        # Every domain replicates the full account base (Section V);
-        # listeners only cover future pushes, so backfill the rest.
-        for account in self.accounts.all_accounts():
-            manager.sync_account(account)
-        manager.receive_channel_attribute_list(
-            self.policy_manager.channel_attribute_list()
-        )
-        # Downstream verifiers must accept the new domain's tickets.
-        self.policy_manager.add_user_manager_key(manager.public_key)
-        for cm in self.channel_managers.values():
-            cm.add_user_manager_key(manager.public_key)
-        for replicas in self.cm_replicas.values():
-            for replica in replicas:
-                replica.add_user_manager_key(manager.public_key)
-        if self.tracer is not None:
-            manager.tracer = self.tracer
-        if self.stores:
-            store = self._make_store(f"um-{domain}")
-            manager.attach_store(store, snapshot_every=self._store_snapshot_every)
-        return manager
-
-    def um_farm_addresses(self, domain: str) -> List[str]:
-        """Directory addresses of a UM farm: primary first, then replicas."""
-        if domain not in self.user_managers:
-            raise ReproError(f"unknown domain: {domain}")
-        return [f"um://{domain}"] + [
-            f"um://{domain}!{n}"
-            for n in range(1, len(self.um_replicas.get(domain, ())) + 1)
-        ]
-
-    def cm_farm_addresses(self, partition: str) -> List[str]:
-        """Directory addresses of a CM farm: primary first, then replicas."""
-        if partition not in self.channel_managers:
-            raise ReproError(f"unknown partition: {partition}")
-        return [f"cm://{partition}"] + [
-            f"cm://{partition}!{n}"
-            for n in range(1, len(self.cm_replicas.get(partition, ())) + 1)
-        ]
 
     # ------------------------------------------------------------------
     # Clients and peers
@@ -1134,8 +1023,7 @@ class Deployment:
             key_bits=key_bits or self.key_bits,
             keypair=keypair,
         )
-        if self.tracer is not None:
-            client.tracer = self.tracer
+        self._wire_client(client)
         return client
 
     def make_peer(self, client: Client, channel_id: str, capacity: int = 4) -> Peer:
@@ -1176,13 +1064,7 @@ class Deployment:
             asn=geo_record.asn if geo_record is not None else 0,
             **extra,
         )
-        if self.tracer is not None:
-            peer.tracer = self.tracer
-        if self.crypto_pool is not None:
-            peer.crypto_pool = self.crypto_pool
-        if self.scorecard is not None:
-            peer.scorecard = self.scorecard
-            self.scorecard.note_address(peer.peer_id, peer.address)
+        self._wire_peer(peer)
         return peer
 
     def watch(self, client: Client, channel_id: str, now: float, capacity: int = 4) -> Peer:

@@ -5,11 +5,11 @@ package is where the hardware becomes the limit.  Two independent
 pieces:
 
 * :mod:`repro.parallel.pool` -- a :class:`~repro.parallel.pool.CryptoPool`
-  offloading RSA private operations and batch sealing to worker
-  processes, with chunked submission, ordered result stitching, and a
-  counter snapshot-and-merge protocol so offloaded work stays visible
-  in ``Deployment.metrics``.  Wired everywhere by
-  ``Deployment.enable_multicore(workers=N)``.
+  offloading batch sealing and batched RSA private operations to
+  worker processes, with chunked submission, ordered result stitching,
+  and a counter snapshot-and-merge protocol so offloaded work stays
+  visible in ``Deployment.metrics``.  Wired into servers, sources and
+  peers by ``Deployment.enable_multicore(workers=N)``.
 * :mod:`repro.parallel.shardstorm` / :mod:`repro.parallel.driver` -- a
   sharded switch storm whose shards (independent farm + overlay
   regions, each with its own event loop) run on worker processes under
@@ -20,13 +20,12 @@ pieces:
   identical per-shard code and produce byte-identical transcripts.
 """
 
-from repro.parallel.pool import CryptoPool, PooledSigningKey, PoolStats
+from repro.parallel.pool import CryptoPool, PoolStats
 from repro.parallel.shardstorm import ShardRig, ShardStormConfig
 from repro.parallel.driver import StormOutcome, run_sharded_storm
 
 __all__ = [
     "CryptoPool",
-    "PooledSigningKey",
     "PoolStats",
     "ShardRig",
     "ShardStormConfig",

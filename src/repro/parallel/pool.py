@@ -1,10 +1,11 @@
 """Process-pool crypto plane.
 
 The data plane's batch entry points (``SymmetricKey.encrypt_many``,
-the key fan-out in ``reencrypt_key_for_links``) and the managers' RSA
-signing are pure CPU: no shared mutable state, inputs and outputs are
-plain bytes and frozen dataclasses.  That makes them natural units to
-ship to worker processes -- which is what :class:`CryptoPool` does.
+the key fan-out in ``reencrypt_key_for_links``) and batched RSA
+private operations are pure CPU: no shared mutable state, inputs and
+outputs are plain bytes and frozen dataclasses.  That makes them
+natural units to ship to worker processes -- which is what
+:class:`CryptoPool` does.
 
 Design points:
 
@@ -117,19 +118,12 @@ class CryptoPool:
     min_chunk:
         Smallest per-worker chunk worth the IPC; batches shorter than
         ``2 * min_chunk`` run inline.
-    offload_single_ops:
-        Route even single RSA operations (one manager signature) to
-        the pool.  Off by default: at the repository's 512-bit test
-        keys one exponentiation is cheaper than the round trip, so the
-        default only offloads real batches.  At production key sizes
-        the trade flips -- that is what the switch is for.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
         min_chunk: int = 8,
-        offload_single_ops: bool = False,
         start_method: str = "fork",
     ) -> None:
         if workers is None:
@@ -138,7 +132,6 @@ class CryptoPool:
             raise ValueError("min_chunk must be >= 1")
         self.workers = max(1, int(workers))
         self.min_chunk = min_chunk
-        self.offload_single_ops = offload_single_ops
         self.stats = PoolStats()
         self._pool = None
         if self.workers > 1:
@@ -203,11 +196,7 @@ class CryptoPool:
         return out
 
     def _offload(self, n: int) -> bool:
-        if not self.pooled:
-            return False
-        if self.offload_single_ops:
-            return True
-        return n >= 2 * self.min_chunk
+        return self.pooled and n >= 2 * self.min_chunk
 
     # -- batch sealing -----------------------------------------------
 
@@ -290,35 +279,3 @@ class CryptoPool:
         return self._run_chunked(
             _task_decrypt_many, n, lambda a, b: (key, blobs[a:b])
         )
-
-
-class PooledSigningKey:
-    """A drop-in signing key routing private ops through a pool.
-
-    Managers hold their farm key as ``self._key`` and touch it only
-    through ``sign``/``decrypt``/``public_key``; wrapping it here is
-    how ``Deployment.enable_multicore`` puts the ticket-issuing paths
-    behind the pool without changing a single manager line.  Every
-    other attribute passes through to the wrapped key.
-    """
-
-    def __init__(self, inner, pool: CryptoPool) -> None:
-        # The inner key may itself be wrapped (enable_multicore called
-        # twice); unwrap so the chain never grows.
-        while isinstance(inner, PooledSigningKey):
-            inner = inner.inner
-        self.inner = inner
-        self.pool = pool
-
-    @property
-    def public_key(self):
-        return self.inner.public_key
-
-    def sign(self, message: bytes) -> bytes:
-        return self.pool.sign_many(self.inner, [message])[0]
-
-    def decrypt(self, ciphertext: bytes) -> bytes:
-        return self.pool.decrypt_many(self.inner, [ciphertext])[0]
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)

@@ -11,10 +11,11 @@ runs, and installs them in the request path:
   ``b"channel"``), consulted by ``Deployment.add_channel`` for
   placement of new channels;
 * a **sharded viewing log** (its own ring over UserINs, salt
-  ``b"viewing"``), installed into every Channel Manager instance --
-  primaries and replicas -- so renewal checks route to the partition
-  owning the user, which is what keeps the one-location rule intact
-  across many CM farms.
+  ``b"viewing"``), which the deployment's ``_wire_manager`` installs
+  into every Channel Manager instance -- primaries and replicas, now
+  and later -- so renewal checks route to the partition owning the
+  user, which is what keeps the one-location rule intact across many
+  CM farms.
 
 Distinct salts mean a shard name appearing on two rings (every
 Authentication Domain also hosts a viewing partition) still gets
@@ -32,7 +33,7 @@ directory, not the client).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.metrics.sharding import ShardingCounters
 from repro.sharding.directory import ShardDirectory
@@ -67,10 +68,9 @@ class ShardingRuntime:
         self._seed_viewing_history()
 
         # Install into the request path: redirection consults the user
-        # directory, every CM instance routes log traffic here.
+        # directory (the deployment points each CM instance at the
+        # viewing router through :meth:`install_router`).
         deployment.redirection.use_shard_directory(self.user_directory)
-        for manager in self._all_channel_managers():
-            manager.set_viewing_router(self.viewing)
 
         # Lazy import: reshard imports runtime's siblings.
         from repro.sharding.reshard import ReshardCoordinator
@@ -81,12 +81,6 @@ class ShardingRuntime:
     # Assembly helpers
     # ------------------------------------------------------------------
 
-    def _all_channel_managers(self) -> List[object]:
-        managers = list(self.deployment.channel_managers.values())
-        for replicas in self.deployment.cm_replicas.values():
-            managers.extend(replicas)
-        return managers
-
     def _seed_viewing_history(self) -> None:
         """Load pre-sharding CM logs into the owning partitions.
 
@@ -94,7 +88,7 @@ class ShardingRuntime:
         deduplicated by object identity before seeding.
         """
         seen_logs: Dict[int, bool] = {}
-        for manager in self._all_channel_managers():
+        for manager in self.deployment.live_managers("cm"):
             backing = manager._log  # shared by reference across a farm
             if id(backing) in seen_logs:
                 continue

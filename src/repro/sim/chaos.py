@@ -480,17 +480,11 @@ def shard_killed_mid_resharding(config: Optional[ChaosConfig] = None) -> Scenari
         client.switch_channel(config.channel, now=float(index) + 0.5)
         clients.append(client)
 
-    # Stand up the migration target (what add_user_manager_shards does,
-    # unrolled so the failure can be injected mid-execute).
-    shard_index = deployment._next_domain_index
-    deployment._next_domain_index += 1
-    domain = f"domain-{shard_index}"
-    deployment._spawn_user_manager_shard(domain, shard_index)
-    runtime.attach_user_shard(domain)
-    runtime.viewing.partition(domain).attach_store(
-        deployment._make_store(f"viewing-{domain}")
-    )
-    plan = runtime.coordinator.plan_add_user_shard(domain)
+    # Stand up the migration target (the first half of
+    # add_user_manager_shards; the scenario executes the plan itself so
+    # the failure can be injected mid-execute).
+    plan = deployment.stand_up_user_manager_shard()
+    domain = plan.target
     total_moves = len(plan.moved) + len(plan.moved_user_ids)
     if total_moves == 0:
         violations.append("reshard plan moved no keys; nothing to test")

@@ -199,12 +199,12 @@ def test_storm_without_crash_matches_recovered_replay():
     assert len(done) == 4
 
     live = deployment.channel_managers["default"]
-    signing_key, farm_secret = deployment._credentials["cm://default"]
+    farm = deployment.farm("cm://default")
     replayed = ChannelManager.recover(
-        deployment.stores["cm-default"],
-        signing_key=signing_key,
-        farm_secret=farm_secret,
-        drbg=HmacDrbg(farm_secret, b"offline-replay"),
+        farm.store,
+        signing_key=farm.signing_key,
+        farm_secret=farm.farm_secret,
+        drbg=HmacDrbg(farm.farm_secret, b"offline-replay"),
         user_manager_keys=[m.public_key for m in deployment.user_managers.values()],
         ticket_lifetime=deployment.channel_ticket_lifetime,
         partition="default",

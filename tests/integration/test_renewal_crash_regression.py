@@ -182,3 +182,59 @@ def test_crash_during_renewal_never_grants_two_locations():
     # ...ending with the fresh (non-renewal) entry for address B.
     assert final_log[-1].net_addr == viewer_b.net_addr
     assert not final_log[-1].renewal
+
+
+def test_recovered_primary_rejoins_its_replicas_viewing_log():
+    """Crash x replica: the recovered primary must consult the *same*
+    viewing log as the surviving replica, or a switch the replica
+    serves while (or after) the primary is down is invisible to the
+    primary's renewal check and a superseded location keeps renewing.
+    """
+    deployment = Deployment(seed=7)
+    deployment.enable_durability()
+    deployment.add_free_channel("news", regions=["CH"])
+    (replica,) = deployment.add_channel_manager_replicas("default", 1)
+
+    viewer_a = deployment.create_client("mover@example.org", "pw", region="CH")
+    viewer_a.login(now=0.0)
+    viewer_a.switch_channel("news", now=1.0)  # served by the primary
+
+    deployment.crash_channel_manager("default")
+    primary = deployment.recover_channel_manager("default")
+
+    # The account moves to a second address; the replica serves it.
+    viewer_b = deployment.create_client("mover@example.org", "pw", region="CH")
+    assert viewer_a.net_addr != viewer_b.net_addr
+    viewer_b.login(now=100.0)
+    deployment.directory.register("cm://default", replica)
+    viewer_b.switch_channel("news", now=101.0)
+    deployment.directory.register("cm://default", primary)
+
+    with pytest.raises(RenewalRefusedError):
+        viewer_a.renew_channel_ticket(now=800.0)
+    farm_log = primary.viewing_log()
+    assert farm_log == replica.viewing_log()
+    assert [e.net_addr for e in farm_log] == [viewer_a.net_addr, viewer_b.net_addr]
+    assert single_location_violations(farm_log) == []
+
+
+def test_recovered_user_manager_rejoins_its_replicas_user_database():
+    """The UM twin: ``UserManager.share_state_with`` promises one user
+    database per farm, by reference; a recovery must restore that."""
+    deployment = Deployment(seed=7)
+    deployment.enable_durability()
+    (replica,) = deployment.add_user_manager_replicas("domain-0", 1)
+    deployment.accounts.register("early@example.org", "pw")
+
+    deployment.crash_user_manager("domain-0")
+    primary = deployment.recover_user_manager("domain-0")
+
+    assert primary._users_by_email is replica._users_by_email
+    assert primary._users_by_id is replica._users_by_id
+    # ...so an account either instance syncs is visible to both.
+    deployment.accounts.register("late@example.org", "pw")
+    assert (
+        primary.user_by_email("late@example.org")
+        is replica.user_by_email("late@example.org")
+    )
+    assert primary.user_by_email("early@example.org") is not None

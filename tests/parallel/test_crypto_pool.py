@@ -9,7 +9,7 @@ from repro.crypto.stream import SymmetricKey
 from repro.deployment import Deployment
 from repro.metrics.dataplane import counters as dataplane_counters
 from repro.metrics.hotpath import counters as hotpath_counters
-from repro.parallel import CryptoPool, PooledSigningKey
+from repro.parallel import CryptoPool
 
 
 @pytest.fixture(scope="module")
@@ -154,38 +154,7 @@ class TestInlineFallback:
             key.encrypt_many(plaintexts, nonces)
 
 
-class TestPooledSigningKey:
-    def test_sign_and_decrypt_match_inner(self, pool, keypair):
-        wrapped = PooledSigningKey(keypair, pool)
-        assert wrapped.sign(b"msg") == keypair.sign(b"msg")
-        blob = keypair.public_key.encrypt(b"s" * 16, HmacDrbg(b"t", b"d"))
-        assert wrapped.decrypt(blob) == b"s" * 16
-        assert wrapped.public_key == keypair.public_key
-
-    def test_rewrapping_never_nests(self, pool, keypair):
-        once = PooledSigningKey(keypair, pool)
-        twice = PooledSigningKey(once, pool)
-        assert twice.inner is keypair
-
-    def test_attribute_passthrough(self, pool, keypair):
-        wrapped = PooledSigningKey(keypair, pool)
-        assert wrapped.n == keypair.n
-
-    def test_managers_sign_identically_with_pool(self, pool):
-        plain = Deployment(seed=31)
-        plain.add_free_channel("sig", regions=["CH"])
-        pooled = Deployment(seed=31)
-        pooled.add_free_channel("sig", regions=["CH"])
-        pooled.enable_multicore(pool=pool)
-
-        a = plain.create_client("u@example.org", "pw", region="CH")
-        b = pooled.create_client("u@example.org", "pw", region="CH")
-        ta, tb = a.login(now=1.0), b.login(now=1.0)
-        assert ta.signature == tb.signature
-        ra = a.switch_channel("sig", now=2.0)
-        rb = b.switch_channel("sig", now=2.0)
-        assert ra.ticket.signature == rb.ticket.signature
-
+class TestEnableMulticore:
     def test_enable_multicore_registers_metrics(self, pool):
         deployment = Deployment(seed=5)
         deployment.enable_multicore(pool=pool)

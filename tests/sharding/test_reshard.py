@@ -96,9 +96,8 @@ class TestRollbackAndResume:
     def test_failpoint_rolls_back_then_resume_completes(self):
         deployment, runtime, clients = build()
         coordinator = runtime.coordinator
-        plan = coordinator.plan_add_user_shard("domain-2")
-        deployment._spawn_user_manager_shard("domain-2", 2)
-        runtime.attach_user_shard("domain-2")
+        plan = deployment.stand_up_user_manager_shard()
+        assert plan.target == "domain-2"
         assert plan.moved or plan.moved_user_ids, "seed must move something"
 
         boom = RuntimeError("target rack lost power")

@@ -7,6 +7,10 @@ constructor argument, a ``use_*`` method, or an environment variable.
 So nothing in ``src/`` outside the defining module may mention a
 ``reference_*`` function, and the names of the twins and switches that
 were deleted under this rule must not come back.
+
+The same file guards the sibling rule for ``Deployment`` ("Construction
+and wiring"): one construction site per manager kind, facilities
+attached only by the ``_wire_*`` functions.
 """
 
 import ast
@@ -86,3 +90,94 @@ def test_scan_catches_both_violations(tmp_path):
     assert sorted(r.split()[1] for r in resurrected) == [
         "use_index", "use_index", "without_crt",
     ]
+
+
+# ----------------------------------------------------------------------
+# Construction and wiring (DESIGN.md, "Construction and wiring"): in
+# deployment.py a manager is constructed in one function and a facility
+# is attached only by the ``_wire_*`` functions.
+# ----------------------------------------------------------------------
+
+MANAGER_CONSTRUCTORS = (
+    "UserManager", "ChannelManager", "UserManager.recover", "ChannelManager.recover",
+)
+FACILITY_ATTRIBUTES = {
+    "tracer", "crypto_pool", "scorecard", "rate_limit_listener", "repair_selector",
+}
+FACILITY_CALLS = {"set_join_rate_limit", "set_peer_list_provider", "install_router"}
+
+
+def dotted(node):
+    """``Name`` / ``Name.attr`` as a string, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return f"{node.value.id}.{node.attr}"
+    return None
+
+
+def scan_wiring(tree):
+    """``(constructor -> calling functions, facility attachments outside _wire_*)``."""
+    sites = {name: set() for name in MANAGER_CONSTRUCTORS}
+    stray = []
+    functions = [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    for function in functions:
+        wires = function.name.startswith("_wire_")
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call):
+                if dotted(node.func) in sites:
+                    sites[dotted(node.func)].add(function.name)
+                attached = getattr(node.func, "attr", None) in FACILITY_CALLS
+                targets = []
+            elif isinstance(node, ast.Assign):
+                attached, targets = False, node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                attached, targets = False, [node.target]
+            else:
+                continue
+            for target in targets:
+                for leaf in ast.walk(target):
+                    # ``self.tracer = ...`` sets the deployment's own
+                    # facility field; attaching it to a component does not.
+                    if (
+                        isinstance(leaf, ast.Attribute)
+                        and leaf.attr in FACILITY_ATTRIBUTES
+                        and dotted(leaf) != f"self.{leaf.attr}"
+                    ):
+                        attached = True
+            if attached and not wires:
+                stray.append(f"{function.name}:{node.lineno}")
+    return sites, stray
+
+
+def test_deployment_constructs_and_wires_in_one_place():
+    path = SRC / "repro" / "deployment.py"
+    sites, stray = scan_wiring(ast.parse(path.read_text(encoding="utf-8")))
+    for constructor, callers in sites.items():
+        assert len(callers) == 1, f"{constructor}( is called from {sorted(callers)}"
+    assert not stray, f"facility attached outside the _wire_* functions: {stray}"
+
+
+def test_wiring_scan_catches_a_second_site_and_a_stray_attachment():
+    sites, stray = scan_wiring(ast.parse(
+        "class D:\n"
+        "    def _build(self, farm):\n"
+        "        return UserManager(farm) or UserManager.recover(farm)\n"
+        "    def add_replicas(self, farm):\n"
+        "        replica = UserManager(farm)\n"            # second site
+        "        replica.tracer = self.tracer\n"           # stray (line 6)
+        "        self.sharding.install_router(replica)\n"  # stray (line 7)
+        "    def enable_tracing(self, tracer):\n"
+        "        self.tracer = tracer\n"                   # the field: fine
+        "        self.redirection.tracer = tracer\n"       # stray (line 10)
+        "    def _wire_manager(self, m):\n"
+        "        m.tracer = m.source.crypto_pool = self.tracer\n"
+        "        m.set_join_rate_limit(1, 2.0)\n"
+    ))
+    assert sites["UserManager"] == {"_build", "add_replicas"}
+    assert sites["UserManager.recover"] == {"_build"}
+    assert sites["ChannelManager"] == set()
+    assert stray == ["add_replicas:6", "add_replicas:7", "enable_tracing:10"]
