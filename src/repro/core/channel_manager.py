@@ -45,6 +45,7 @@ from repro.errors import (
     RenewalRefusedError,
     TicketInvalidError,
 )
+from repro.store.journal import Journaled
 from repro.trace.span import Tracer, maybe_span
 from repro.util.wire import Decoder, Encoder
 
@@ -102,7 +103,7 @@ class ViewingLogEntry:
         )
 
 
-class ChannelManager:
+class ChannelManager(Journaled):
     """A logical Channel Manager for one partition.
 
     Parameters
@@ -172,9 +173,6 @@ class ChannelManager:
         #: limiter fires; the deployment wires this to the misbehavior
         #: scorecard so floods count against the flooding peer.
         self.rate_limit_listener = None
-        self._store = None
-        self._snapshot_every: Optional[int] = None
-        self._records_since_snapshot = 0
         #: Shared tracer, attached by Deployment.enable_tracing().
         self.tracer: Optional[Tracer] = None
 
@@ -560,33 +558,13 @@ class ChannelManager:
         other._channels = dict(self._channels)
 
     # ------------------------------------------------------------------
-    # Durability (see repro.store)
+    # Durability (see repro.store.journal): the schema of what
+    # ``attach_store`` journals and ``recover`` replays.  Challenge
+    # tokens are MAC'd under the farm secret, which ``recover`` is
+    # handed back, so a client holding a SWITCH1 token from before a
+    # crash completes SWITCH2 against the recovered instance without
+    # re-login.
     # ------------------------------------------------------------------
-
-    def attach_store(self, store, snapshot_every: Optional[int] = None,
-                     now: float = 0.0) -> None:
-        """Journal every mutation to ``store`` from here on.
-
-        An initial snapshot of the current in-memory state is taken
-        immediately, so a store attached to a warm manager is complete
-        from the first byte.  ``snapshot_every`` enables automatic
-        compaction: after that many appended records the WAL is folded
-        into a fresh snapshot.
-        """
-        self._store = store
-        self._snapshot_every = snapshot_every
-        self._records_since_snapshot = 0
-        store.write_snapshot(self._snapshot_state(), taken_at=now)
-
-    def _journal(self, rec_type: int, body: bytes) -> None:
-        self._store.append(rec_type, body)
-        self._records_since_snapshot += 1
-        if (
-            self._snapshot_every is not None
-            and self._records_since_snapshot >= self._snapshot_every
-        ):
-            self._store.write_snapshot(self._snapshot_state())
-            self._records_since_snapshot = 0
 
     def _snapshot_state(self) -> bytes:
         enc = Encoder()
@@ -646,53 +624,3 @@ class ChannelManager:
         else:
             raise TicketInvalidError(f"unknown WAL record type {rec_type}")
         dec.finish()
-
-    @classmethod
-    def recover(
-        cls,
-        store,
-        *,
-        signing_key: RsaPrivateKey,
-        farm_secret: bytes,
-        drbg: HmacDrbg,
-        user_manager_keys: Sequence[RsaPublicKey],
-        ticket_lifetime: float = 900.0,
-        renewal_window: float = 120.0,
-        partition: str = "default",
-        peer_list_size: int = 8,
-        snapshot_every: Optional[int] = None,
-    ) -> "ChannelManager":
-        """Rebuild a manager from snapshot + WAL replay.
-
-        Key material and farm secrets are deliberately *not* in the
-        store (they live in the deployment's key management, the moral
-        equivalent of an HSM) -- they are passed back in, and because
-        challenge tokens are MAC'd under the farm secret, a client
-        holding a SWITCH1 token from before the crash can complete
-        SWITCH2 against the recovered instance without re-login.
-        """
-        import time as _time
-
-        started = _time.perf_counter()
-        manager = cls(
-            signing_key=signing_key,
-            farm_secret=farm_secret,
-            drbg=drbg,
-            user_manager_keys=user_manager_keys,
-            ticket_lifetime=ticket_lifetime,
-            renewal_window=renewal_window,
-            partition=partition,
-            peer_list_size=peer_list_size,
-        )
-        state = store.load()
-        if state.snapshot is not None:
-            manager._restore_state(state.snapshot.state)
-        for record in state.records:
-            manager._apply_record(record.rec_type, record.body)
-        manager._store = store
-        manager._snapshot_every = snapshot_every
-        manager._records_since_snapshot = len(state.records)
-        store.stats.note_recovery(
-            len(state.records), _time.perf_counter() - started
-        )
-        return manager

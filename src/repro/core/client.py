@@ -5,7 +5,8 @@ Manager, the two-round login with the User Manager, Channel List
 maintenance against the Channel Policy Manager (driven by utime
 deltas), the two-round channel switch with the Channel Manager, the
 one-round join with target peers, and finally content-key handling and
-packet decryption.
+packet decryption.  The message exchanges themselves are the scripts of
+:mod:`repro.core.exchange`, which this class drives with direct calls.
 
 The client is *functional*: every method takes ``now`` explicitly, and
 remote managers are duck-typed objects resolved through a
@@ -22,35 +23,17 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.accounts import secure_hash_password
 from repro.core.challenge import answer_challenge
 from repro.core.directory import ServiceDirectory
-from repro.core.keystream import ContentKey, ContentKeyRing
+from repro.core.exchange import HANDLERS, join_script, login_script, switch_script
+from repro.core.keystream import ContentKeyRing
 from repro.core.packets import decrypt_key_from_link, decrypt_packet
 from repro.core.policy_manager import ChannelRecord
-from repro.core.protocol import (
-    JoinAccept,
-    JoinReject,
-    JoinRequest,
-    KeyUpdate,
-    Login1Request,
-    Login2Request,
-    PeerDescriptor,
-    Switch1Request,
-    Switch2Request,
-    Switch2Response,
-)
+from repro.core.protocol import JoinAccept, KeyUpdate, Switch2Response
 from repro.core.tickets import ChannelTicket, UserTicket
-from repro.core.user_manager import ChecksumParams
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import RsaPrivateKey, generate_keypair
 from repro.crypto.stream import SymmetricKey
-from repro.errors import (
-    CapacityError,
-    ProtocolError,
-    ReplayError,
-    ReproError,
-    TransportError,
-)
+from repro.errors import ProtocolError, ReplayError, ReproError, TransportError
 from repro.trace.span import Tracer, maybe_span
-from repro.util.wire import Decoder
 
 
 @dataclass
@@ -166,41 +149,9 @@ class Client:
     def _login(self, now: float) -> UserTicket:
         route = self._redirection.lookup(self.email)
         user_manager, endpoint = self._resolve_user_manager(route)
-
-        with maybe_span(self.tracer, "LOGIN1", now=now, kind="round"):
-            response1 = user_manager.login1(
-                Login1Request(email=self.email, client_public_key=self.public_key), now
-            )
-        blob_key = SymmetricKey(material=self._shp[:16])
-        plain = blob_key.decrypt(
-            response1.encrypted_blob, nonce=response1.blob_nonce, aad=b"login1"
-        )
-        dec = Decoder(plain)
-        nonce = dec.get_bytes()
-        params = ChecksumParams(
-            salt=dec.get_bytes(), offset_seed=dec.get_u32(), length=dec.get_u32()
-        )
-        server_time = dec.get_f64()
-        dec.finish()
+        script = login_script(self)
+        ticket, server_time = self._drive(script, next(script), user_manager, now)
         self.clock_offset = server_time - now
-
-        checksum = params.compute(self.image)
-        payload = nonce + checksum + self.version.encode("utf-8")
-        with maybe_span(self.tracer, "LOGIN2", now=now, kind="round"):
-            response2 = user_manager.login2(
-                Login2Request(
-                    email=self.email,
-                    client_public_key=self.public_key,
-                    token=response1.token,
-                    nonce=nonce,
-                    checksum=checksum,
-                    version=self.version,
-                    signature=self._key.sign(payload),
-                ),
-                observed_addr=self.net_addr,
-                now=now,
-            )
-        ticket = response2.ticket
         ticket.verify(endpoint.public_key, now)
 
         stale = self._stale_attribute_keys(ticket)
@@ -211,6 +162,20 @@ class Client:
             self._refresh_channel_list(route, ticket, now, stale_keys=stale)
         self._prev_utimes = ticket.attributes.utime_map()
         return ticket
+
+    def _drive(self, script, request, server, now: float, round_spans: bool = True):
+        """Run a primed protocol script to its result with direct
+        handler calls (see :mod:`repro.core.exchange`)."""
+        tracer = self.tracer if round_spans else None
+        try:
+            while True:
+                with maybe_span(tracer, request.label, now=now, kind="round"):
+                    reply = HANDLERS[request.method](
+                        server, request.payload, self.net_addr, now
+                    )
+                request = script.send(reply)
+        except StopIteration as done:
+            return done.value
 
     def _resolve_user_manager(self, route):
         """Resolve the first reachable User Manager replica.
@@ -311,69 +276,34 @@ class Client:
         with maybe_span(
             self.tracer, "SWITCH", now=now, kind="op", channel=channel_id
         ):
-            return self._switch_channel(channel_id, now)
-
-    def _switch_channel(self, channel_id: str, now: float) -> Switch2Response:
-        if self.user_ticket is None:
-            raise ProtocolError("not logged in")
-        record = self.channel_list.get(channel_id)
-        if record is None or record.channel_manager_addr is None:
-            raise ProtocolError(f"channel {channel_id!r} not in my channel list")
-        channel_manager = self._directory.resolve(record.channel_manager_addr)
-
-        with maybe_span(self.tracer, "SWITCH1", now=now, kind="round"):
-            response1 = channel_manager.switch1(
-                Switch1Request(user_ticket=self.user_ticket, channel_id=channel_id), now
+            response = self._switch_rounds(
+                switch_script(self, channel_id=channel_id),
+                f"channel {channel_id!r} not in my channel list",
+                now,
             )
-        signature = answer_challenge(response1.token, self._key)
-        with maybe_span(self.tracer, "SWITCH2", now=now, kind="round"):
-            response2 = channel_manager.switch2(
-                Switch2Request(
-                    user_ticket=self.user_ticket,
-                    token=response1.token,
-                    signature=signature,
-                    channel_id=channel_id,
-                ),
-                observed_addr=self.net_addr,
-                now=now,
-            )
-        self._adopt_channel_ticket(response2.ticket, reset_state=True)
-        return response2
+            self._adopt_channel_ticket(response.ticket, reset_state=True)
+            return response
 
     def renew_channel_ticket(self, now: float) -> Switch2Response:
         """Renew the current Channel Ticket (Section IV-D)."""
         with maybe_span(self.tracer, "RENEWAL", now=now, kind="op"):
-            return self._renew_channel_ticket(now)
-
-    def _renew_channel_ticket(self, now: float) -> Switch2Response:
-        if self.user_ticket is None or self.channel_ticket is None:
-            raise ProtocolError("nothing to renew")
-        record = self.channel_list.get(self.channel_ticket.channel_id)
-        if record is None or record.channel_manager_addr is None:
-            raise ProtocolError("channel no longer in my channel list")
-        channel_manager = self._directory.resolve(record.channel_manager_addr)
-
-        with maybe_span(self.tracer, "RENEW1", now=now, kind="round"):
-            response1 = channel_manager.switch1(
-                Switch1Request(
-                    user_ticket=self.user_ticket, expiring_ticket=self.channel_ticket
-                ),
+            response = self._switch_rounds(
+                switch_script(self, expiring=self.channel_ticket),
+                "channel no longer in my channel list",
                 now,
             )
-        signature = answer_challenge(response1.token, self._key)
-        with maybe_span(self.tracer, "RENEW2", now=now, kind="round"):
-            response2 = channel_manager.switch2(
-                Switch2Request(
-                    user_ticket=self.user_ticket,
-                    token=response1.token,
-                    signature=signature,
-                    expiring_ticket=self.channel_ticket,
-                ),
-                observed_addr=self.net_addr,
-                now=now,
-            )
-        self._adopt_channel_ticket(response2.ticket, reset_state=False)
-        return response2
+            self._adopt_channel_ticket(response.ticket, reset_state=False)
+            return response
+
+    def _switch_rounds(self, script, missing: str, now: float) -> Switch2Response:
+        """Drive a SWITCH / RENEWAL script against the Channel Manager
+        that the Channel List names for its target channel."""
+        request = next(script)
+        record = self.channel_list.get(request.payload.target_channel)
+        if record is None or record.channel_manager_addr is None:
+            raise ProtocolError(missing)
+        channel_manager = self._directory.resolve(record.channel_manager_addr)
+        return self._drive(script, request, channel_manager, now)
 
     def _adopt_channel_ticket(self, ticket: ChannelTicket, reset_state: bool) -> None:
         self.channel_ticket = ticket
@@ -396,18 +326,10 @@ class Client:
             return self._join_peer(peer, now)
 
     def _join_peer(self, peer, now: float) -> JoinAccept:
-        if self.channel_ticket is None:
-            raise ProtocolError("no channel ticket to join with")
-        result = peer.handle_join(
-            JoinRequest(channel_ticket=self.channel_ticket),
-            observed_addr=self.net_addr,
-            now=now,
+        script = join_script(self)
+        result, session_key = self._drive(
+            script, next(script), peer, now, round_spans=False
         )
-        if isinstance(result, JoinReject):
-            raise CapacityError(f"join rejected by {result.peer_id}: {result.reason}")
-        assert isinstance(result, JoinAccept)
-        session_material = self._key.decrypt(result.encrypted_session_key)
-        session_key = SymmetricKey(material=session_material)
         self.parents[result.peer_id] = ParentLink(
             peer_id=result.peer_id, session_key=session_key
         )

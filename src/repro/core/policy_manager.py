@@ -33,6 +33,7 @@ from repro.core.policy_index import CompiledPolicyIndex
 from repro.core.ticket_cache import TicketVerificationCache
 from repro.core.tickets import UserTicket
 from repro.errors import AuthorizationError, ProtocolError, ReproError, TicketInvalidError
+from repro.store.journal import Journaled
 from repro.util.wire import Decoder, Encoder
 
 #: Durable-store op-record types (see :mod:`repro.store`).  The CPM
@@ -146,7 +147,7 @@ ChannelListListener = Callable[[Dict[str, ChannelRecord]], None]
 AttributeListListener = Callable[[AttributeSet], None]
 
 
-class ChannelPolicyManager:
+class ChannelPolicyManager(Journaled):
     """Central administration point for channel rights metadata.
 
     All mutators take an explicit ``now`` so utime stamping is
@@ -161,10 +162,6 @@ class ChannelPolicyManager:
         self._issuer: Optional[ChallengeIssuer] = None
         self._um_keys: List = []
         self._ticket_cache: Optional[TicketVerificationCache] = None
-        self._store = None
-        self._replaying = False
-        self._snapshot_every: Optional[int] = None
-        self._records_since_snapshot = 0
 
     # ------------------------------------------------------------------
     # Client access (challenge-protected Channel List fetch)
@@ -524,28 +521,14 @@ class ChannelPolicyManager:
         return self.remove_policy(channel_id, label, now)
 
     # ------------------------------------------------------------------
-    # Durability (see repro.store)
+    # Durability (see repro.store.journal): the CPM journals
+    # *operations*.  ``recover`` replays them with their original
+    # ``now`` stamps, so every utime in the recovered Channel Attribute
+    # List is exactly what it was before the crash -- utimes never
+    # regress, and clients' change-detection keeps working across the
+    # restart.  Listeners and client-access keys are runtime wiring,
+    # re-added by the deployment after recovery.
     # ------------------------------------------------------------------
-
-    def attach_store(self, store, snapshot_every: Optional[int] = None,
-                     now: float = 0.0) -> None:
-        """Journal every lineup mutation to ``store``; snapshot now."""
-        self._store = store
-        self._snapshot_every = snapshot_every
-        self._records_since_snapshot = 0
-        store.write_snapshot(self._snapshot_state(), taken_at=now)
-
-    def _journal(self, op: int, body: bytes) -> None:
-        if self._store is None or self._replaying:
-            return
-        self._store.append(op, body)
-        self._records_since_snapshot += 1
-        if (
-            self._snapshot_every is not None
-            and self._records_since_snapshot >= self._snapshot_every
-        ):
-            self._store.write_snapshot(self._snapshot_state())
-            self._records_since_snapshot = 0
 
     def _snapshot_state(self) -> bytes:
         enc = Encoder()
@@ -602,33 +585,3 @@ class ChannelPolicyManager:
         else:
             raise ProtocolError(f"unknown WAL op type {op}")
         dec.finish()
-
-    @classmethod
-    def recover(cls, store, snapshot_every: Optional[int] = None) -> "ChannelPolicyManager":
-        """Rebuild the channel lineup from snapshot + op replay.
-
-        Replayed operations run with their original ``now`` stamps, so
-        every utime in the recovered Channel Attribute List is exactly
-        what it was before the crash -- utimes never regress, and
-        clients' change-detection keeps working across the restart.
-        Listeners and client-access keys are runtime wiring, re-added
-        by the deployment after recovery.
-        """
-        import time as _time
-
-        started = _time.perf_counter()
-        manager = cls()
-        state = store.load()
-        if state.snapshot is not None:
-            manager._restore_state(state.snapshot.state)
-        manager._replaying = True
-        try:
-            for record in state.records:
-                manager._apply_record(record.rec_type, record.body)
-        finally:
-            manager._replaying = False
-        manager._store = store
-        manager._snapshot_every = snapshot_every
-        manager._records_since_snapshot = len(state.records)
-        store.stats.note_recovery(len(state.records), _time.perf_counter() - started)
-        return manager

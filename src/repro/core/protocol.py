@@ -2,33 +2,18 @@
 
 Each dataclass is one message of one round.  The five *rounds* --
 LOGIN1, LOGIN2, SWITCH1, SWITCH2, JOIN -- are exactly the units whose
-latency the paper measures (Section VI); :data:`Round` enumerates them
-so the metrics layer can label samples.
-
-Messages carry an :meth:`approx_size` so the simulator can charge
-serialization delay; sizes are computed from the canonical encodings
-rather than guessed.
+latency the paper measures (Section VI); the client's side of each is
+scripted once in :mod:`repro.core.exchange`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.core.challenge import Challenge
 from repro.core.tickets import ChannelTicket, UserTicket
 from repro.crypto.rsa import RsaPublicKey
-
-
-class Round(enum.Enum):
-    """The five measured message-exchange rounds."""
-
-    LOGIN1 = "LOGIN1"
-    LOGIN2 = "LOGIN2"
-    SWITCH1 = "SWITCH1"
-    SWITCH2 = "SWITCH2"
-    JOIN = "JOIN"
 
 
 # ----------------------------------------------------------------------
@@ -42,9 +27,6 @@ class Login1Request:
 
     email: str
     client_public_key: RsaPublicKey
-
-    def approx_size(self) -> int:
-        return len(self.email) + len(self.client_public_key.to_bytes()) + 16
 
 
 @dataclass(frozen=True)
@@ -63,9 +45,6 @@ class Login1Response:
     encrypted_blob: bytes
     blob_nonce: int
 
-    def approx_size(self) -> int:
-        return len(self.token.to_bytes()) + len(self.encrypted_blob) + 8 + 16
-
 
 @dataclass(frozen=True)
 class Login2Request:
@@ -80,18 +59,6 @@ class Login2Request:
     version: str
     signature: bytes
 
-    def approx_size(self) -> int:
-        return (
-            len(self.email)
-            + len(self.client_public_key.to_bytes())
-            + len(self.token.to_bytes())
-            + len(self.nonce)
-            + len(self.checksum)
-            + len(self.version)
-            + len(self.signature)
-            + 32
-        )
-
 
 @dataclass(frozen=True)
 class Login2Response:
@@ -99,9 +66,6 @@ class Login2Response:
 
     ticket: UserTicket
     server_time: float
-
-    def approx_size(self) -> int:
-        return len(self.ticket.to_bytes()) + 8 + 16
 
 
 # ----------------------------------------------------------------------
@@ -136,23 +100,12 @@ class Switch1Request:
         assert self.channel_id is not None
         return self.channel_id
 
-    def approx_size(self) -> int:
-        size = len(self.user_ticket.to_bytes()) + 16
-        if self.channel_id is not None:
-            size += len(self.channel_id)
-        if self.expiring_ticket is not None:
-            size += len(self.expiring_ticket.to_bytes())
-        return size
-
 
 @dataclass(frozen=True)
 class Switch1Response:
     """Round 1 response: the nonce challenge."""
 
     token: Challenge
-
-    def approx_size(self) -> int:
-        return len(self.token.to_bytes()) + 16
 
 
 @dataclass(frozen=True)
@@ -176,17 +129,6 @@ class Switch2Request:
         assert self.channel_id is not None
         return self.channel_id
 
-    def approx_size(self) -> int:
-        size = (
-            len(self.user_ticket.to_bytes())
-            + len(self.token.to_bytes())
-            + len(self.signature)
-            + 32
-        )
-        if self.expiring_ticket is not None:
-            size += len(self.expiring_ticket.to_bytes())
-        return size
-
 
 @dataclass(frozen=True)
 class PeerDescriptor:
@@ -204,9 +146,6 @@ class PeerDescriptor:
     asn: int = 0
     spare_capacity: int = 0
 
-    def approx_size(self) -> int:
-        return len(self.peer_id) + len(self.address) + len(self.region) + 8 + 8
-
 
 @dataclass(frozen=True)
 class Switch2Response:
@@ -220,13 +159,6 @@ class Switch2Response:
     ticket: ChannelTicket
     peers: Tuple[PeerDescriptor, ...] = ()
 
-    def approx_size(self) -> int:
-        return (
-            len(self.ticket.to_bytes())
-            + sum(p.approx_size() for p in self.peers)
-            + 16
-        )
-
 
 # ----------------------------------------------------------------------
 # Peer join protocol (client <-> target peer), Fig. 4(c)
@@ -238,9 +170,6 @@ class JoinRequest:
     """The join request: the Channel Ticket for the carried channel."""
 
     channel_ticket: ChannelTicket
-
-    def approx_size(self) -> int:
-        return len(self.channel_ticket.to_bytes()) + 16
 
 
 @dataclass(frozen=True)
@@ -254,15 +183,6 @@ class JoinAccept:
     encrypted_content_key: bytes
     content_key_serial: int
 
-    def approx_size(self) -> int:
-        return (
-            len(self.peer_id)
-            + len(self.encrypted_session_key)
-            + len(self.encrypted_content_key)
-            + 1
-            + 16
-        )
-
 
 @dataclass(frozen=True)
 class JoinReject:
@@ -270,9 +190,6 @@ class JoinReject:
 
     peer_id: str
     reason: str
-
-    def approx_size(self) -> int:
-        return len(self.peer_id) + len(self.reason) + 16
 
 
 # ----------------------------------------------------------------------
@@ -305,6 +222,3 @@ class KeyUpdate:
     def __post_init__(self) -> None:
         if not 0 <= self.serial <= 0xFF:
             raise ValueError("content key serial must fit in 8 bits")
-
-    def approx_size(self) -> int:
-        return len(self.channel_id) + len(self.encrypted_content_key) + 1 + 8 + 16 + 2

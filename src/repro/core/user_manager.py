@@ -64,6 +64,7 @@ from repro.errors import (
     ProtocolError,
     SignatureError,
 )
+from repro.store.journal import Journaled
 from repro.trace.span import Tracer, maybe_span
 from repro.util.wire import Decoder, Encoder
 
@@ -150,7 +151,7 @@ class UserRecord:
         return cls(user_id=user_id, email=email, shp=shp, account=account)
 
 
-class UserManager:
+class UserManager(Journaled):
     """A logical User Manager (possibly a farm of instances).
 
     Parameters
@@ -209,9 +210,6 @@ class UserManager:
         self._attr_utime_index: Dict[str, List[Attribute]] = {}
         self._client_images: Dict[str, bytes] = {}
         self.logins_issued = 0
-        self._store = None
-        self._snapshot_every: Optional[int] = None
-        self._records_since_snapshot = 0
         #: Shared tracer, attached by Deployment.enable_tracing().
         self.tracer: Optional[Tracer] = None
 
@@ -570,26 +568,12 @@ class UserManager:
         return removed
 
     # ------------------------------------------------------------------
-    # Durability (see repro.store)
+    # Durability (see repro.store.journal): the schema of what
+    # ``attach_store`` journals and ``recover`` replays.  Challenge
+    # tokens and checksum parameters are both derived from the farm
+    # secret, which ``recover`` is handed back, so in-flight LOGIN1
+    # tokens issued before a crash complete LOGIN2 on the recovered farm.
     # ------------------------------------------------------------------
-
-    def attach_store(self, store, snapshot_every: Optional[int] = None,
-                     now: float = 0.0) -> None:
-        """Journal UserDB mutations to ``store``; snapshot now."""
-        self._store = store
-        self._snapshot_every = snapshot_every
-        self._records_since_snapshot = 0
-        store.write_snapshot(self._snapshot_state(), taken_at=now)
-
-    def _journal(self, rec_type: int, body: bytes) -> None:
-        self._store.append(rec_type, body)
-        self._records_since_snapshot += 1
-        if (
-            self._snapshot_every is not None
-            and self._records_since_snapshot >= self._snapshot_every
-        ):
-            self._store.write_snapshot(self._snapshot_state())
-            self._records_since_snapshot = 0
 
     def _snapshot_state(self) -> bytes:
         enc = Encoder()
@@ -658,56 +642,6 @@ class UserManager:
         else:
             raise ProtocolError(f"unknown WAL record type {rec_type}")
         dec.finish()
-
-    @classmethod
-    def recover(
-        cls,
-        store,
-        *,
-        signing_key: RsaPrivateKey,
-        farm_secret: bytes,
-        drbg: HmacDrbg,
-        geo,
-        ticket_lifetime: float = 1800.0,
-        min_version: str = "1.0.0",
-        domain: str = "default",
-        challenge_max_age: float = 60.0,
-        user_id_start: int = 1,
-        user_id_stride: int = 1,
-        snapshot_every: Optional[int] = None,
-    ) -> "UserManager":
-        """Rebuild a User Manager from snapshot + WAL replay.
-
-        Secrets stay out of the store (deployment key management owns
-        them); because challenge tokens and checksum parameters are
-        both derived from the farm secret, in-flight LOGIN1 tokens
-        issued before the crash complete LOGIN2 on the recovered farm.
-        """
-        import time as _time
-
-        started = _time.perf_counter()
-        manager = cls(
-            signing_key=signing_key,
-            farm_secret=farm_secret,
-            drbg=drbg,
-            geo=geo,
-            ticket_lifetime=ticket_lifetime,
-            min_version=min_version,
-            domain=domain,
-            challenge_max_age=challenge_max_age,
-            user_id_start=user_id_start,
-            user_id_stride=user_id_stride,
-        )
-        state = store.load()
-        if state.snapshot is not None:
-            manager._restore_state(state.snapshot.state)
-        for record in state.records:
-            manager._apply_record(record.rec_type, record.body)
-        manager._store = store
-        manager._snapshot_every = snapshot_every
-        manager._records_since_snapshot = len(state.records)
-        store.stats.note_recovery(len(state.records), _time.perf_counter() - started)
-        return manager
 
 
 def _version_tuple(version: str) -> Tuple[int, ...]:

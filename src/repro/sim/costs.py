@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-#: Operation names charged by :class:`~repro.sim.driver.AsyncClient`.
-OP_LOGIN_BLOB = "login_blob"
-OP_CHALLENGE_SIGN = "challenge_sign"
-OP_JOIN_DECRYPT = "join_decrypt"
+# The operation names belong to the protocol scripts (``core`` must not
+# import ``sim``); they are re-exported here, next to their prices.
+from repro.core.exchange import OP_CHALLENGE_SIGN, OP_JOIN_DECRYPT, OP_LOGIN_BLOB
 
 #: Deterministic defaults, in seconds.  Chosen near the measured means
 #: for 512-bit keys on commodity hardware: the login blob work is one

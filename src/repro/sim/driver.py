@@ -1,7 +1,8 @@
 """Event-driven protocol execution: the functional DRM under virtual time.
 
 :class:`AsyncClient` performs the real protocol exchanges -- the same
-crypto, the same manager handlers as the synchronous
+scripts (:mod:`repro.core.exchange`), hence the same crypto and the
+same manager handlers as the synchronous
 :class:`~repro.core.client.Client` -- but as chained messages over a
 :class:`~repro.sim.rpc.VirtualNetwork`.  Every round's latency is then
 an *emergent* quantity: request one-way delay + farm queueing/service +
@@ -19,77 +20,50 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.core.accounts import secure_hash_password
-from repro.core.challenge import answer_challenge
-from repro.core.protocol import (
-    JoinAccept,
-    Login1Request,
-    Login1Response,
-    Login2Request,
-    Login2Response,
-    Switch1Request,
-    Switch2Request,
-    Switch2Response,
-)
-from repro.core.user_manager import ChecksumParams
+from repro.core.exchange import HANDLERS, join_script, login_script, switch_script
+from repro.core.protocol import JoinAccept, Switch2Response
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import generate_keypair
-from repro.crypto.stream import SymmetricKey
+from repro.errors import ReproError
 from repro.metrics.collector import LatencyCollector
-from repro.sim.costs import (
-    DEFAULT_COSTS,
-    OP_CHALLENGE_SIGN,
-    OP_JOIN_DECRYPT,
-    OP_LOGIN_BLOB,
-)
+from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.rpc import RpcService, VirtualNetwork
 from repro.trace.span import Span, Tracer
-from repro.util.wire import Decoder
+
+
+def _wire(network: VirtualNetwork, service: RpcService, server, methods) -> RpcService:
+    """Register ``methods`` of ``server`` from the one handler table.
+
+    The observed connection address is taken from the RPC context,
+    exactly as a real server reads the socket peer address.
+    """
+    for method in methods:
+        service.register(
+            method,
+            lambda payload, ctx, call=HANDLERS[method]: call(
+                server, payload, ctx.caller_address, ctx.now
+            ),
+        )
+    network.attach(service)
+    return service
 
 
 def wire_user_manager(network: VirtualNetwork, manager, address: str, station=None) -> RpcService:
-    """Expose a functional User Manager as an RPC service.
-
-    The observed connection address -- what the paper's NetAddr checks
-    key on -- is taken from the RPC context, exactly as a real server
-    reads the socket peer address.
-    """
+    """Expose a functional User Manager as an RPC service."""
     service = RpcService(address=address, station=station)
-    service.register("login1", lambda payload, ctx: manager.login1(payload, ctx.now))
-    service.register(
-        "login2",
-        lambda payload, ctx: manager.login2(
-            payload, observed_addr=ctx.caller_address, now=ctx.now
-        ),
-    )
-    network.attach(service)
-    return service
+    return _wire(network, service, manager, ("login1", "login2"))
 
 
 def wire_channel_manager(network: VirtualNetwork, manager, address: str, station=None) -> RpcService:
     """Expose a functional Channel Manager as an RPC service."""
     service = RpcService(address=address, station=station)
-    service.register("switch1", lambda payload, ctx: manager.switch1(payload, ctx.now))
-    service.register(
-        "switch2",
-        lambda payload, ctx: manager.switch2(
-            payload, observed_addr=ctx.caller_address, now=ctx.now
-        ),
-    )
-    network.attach(service)
-    return service
+    return _wire(network, service, manager, ("switch1", "switch2"))
 
 
 def wire_peer(network: VirtualNetwork, peer, address: Optional[str] = None) -> RpcService:
     """Expose a peer's join admission as an RPC service."""
     service = RpcService(address=address or f"peer://{peer.peer_id}", region=peer.region)
-    service.register(
-        "join",
-        lambda payload, ctx: peer.handle_join(
-            payload, observed_addr=ctx.caller_address, now=ctx.now
-        ),
-    )
-    network.attach(service)
-    return service
+    return _wire(network, service, peer, ("join",))
 
 
 class AsyncClient:
@@ -140,50 +114,6 @@ class AsyncClient:
     def public_key(self):
         return self._key.public_key
 
-    # ------------------------------------------------------------------
-    # Tracing helpers: spans across async hops are parented explicitly
-    # (the callback chain has no ambient stack to inherit from).
-    # ------------------------------------------------------------------
-
-    def _open_span(self, name: str, kind: str, parent=None) -> Optional[Span]:
-        if self.tracer is None:
-            return None
-        span = self.tracer.start_span(
-            name, now=self._network.sim.now, parent=parent, kind=kind
-        )
-        span.annotate("client", self.email)
-        return span
-
-    def _close_span(
-        self, span: Optional[Span], error: Optional[Exception] = None
-    ) -> None:
-        if span is None:
-            return
-        if error is not None:
-            span.annotate("error", type(error).__name__)
-        self.tracer.finish(span, now=self._network.sim.now)
-
-    @staticmethod
-    def _ctx(span: Optional[Span]):
-        return span.context if span is not None else None
-
-    def _charge_compute(
-        self, op: str, fn: Callable[[], None], then: Callable[[], None]
-    ) -> None:
-        """Run client-side work now; advance virtual time by its *modeled* cost.
-
-        The work itself executes immediately (its result feeds the next
-        message), but the virtual delay comes from the cost table, not
-        the wall clock -- charging measured durations here would make
-        event orderings nondeterministic run-to-run.
-        """
-        fn()
-        self._network.sim.schedule(DEFAULT_COSTS[op], lambda sim: then())
-
-    # ------------------------------------------------------------------
-    # Login (two chained exchanges)
-    # ------------------------------------------------------------------
-
     def start_login(
         self,
         um_address: str,
@@ -191,88 +121,12 @@ class AsyncClient:
         on_fail: Optional[Callable[[Exception], None]] = None,
     ) -> None:
         """Begin the login flow; callbacks fire in virtual time."""
-        sim = self._network.sim
-        sent_at = sim.now
-        op = self._open_span("LOGIN", kind="op")
-        spans = {"round": self._open_span("LOGIN1", kind="round", parent=self._ctx(op))}
 
-        def fail(exc: Exception) -> None:
-            self._close_span(spans["round"], error=exc)
-            self._close_span(op, error=exc)
-            self.errors.append(exc)
-            if on_fail is not None:
-                on_fail(exc)
+        def adopt(result) -> None:
+            self.user_ticket = result[0]
+            on_done()
 
-        def handle_login1(response: Login1Response) -> None:
-            self.collector.record("LOGIN1", sent_at, sim.now - sent_at)
-            self._close_span(spans["round"])
-            state = {}
-
-            def compute() -> None:
-                blob_key = SymmetricKey(material=self._shp[:16])
-                plain = blob_key.decrypt(
-                    response.encrypted_blob, nonce=response.blob_nonce, aad=b"login1"
-                )
-                dec = Decoder(plain)
-                nonce = dec.get_bytes()
-                params = ChecksumParams(
-                    salt=dec.get_bytes(), offset_seed=dec.get_u32(), length=dec.get_u32()
-                )
-                dec.get_f64()
-                checksum = params.compute(self.image)
-                payload = nonce + checksum + self.version.encode("utf-8")
-                state["request"] = Login2Request(
-                    email=self.email,
-                    client_public_key=self.public_key,
-                    token=response.token,
-                    nonce=nonce,
-                    checksum=checksum,
-                    version=self.version,
-                    signature=self._key.sign(payload),
-                )
-
-            def send_round2() -> None:
-                sent2_at = sim.now
-                spans["round"] = self._open_span(
-                    "LOGIN2", kind="round", parent=self._ctx(op)
-                )
-
-                def handle_login2(response2: Login2Response) -> None:
-                    self.collector.record("LOGIN2", sent2_at, sim.now - sent2_at)
-                    self._close_span(spans["round"])
-                    self._close_span(op)
-                    self.user_ticket = response2.ticket
-                    on_done()
-
-                self._network.call(
-                    caller_address=self.net_addr,
-                    caller_region=self.region,
-                    dst_address=um_address,
-                    method="login2",
-                    payload=state["request"],
-                    on_reply=handle_login2,
-                    on_error=fail,
-                    timeout=self.round_timeout,
-                    trace=self._ctx(spans["round"]),
-                )
-
-            self._charge_compute(OP_LOGIN_BLOB, compute, send_round2)
-
-        self._network.call(
-            caller_address=self.net_addr,
-            caller_region=self.region,
-            dst_address=um_address,
-            method="login1",
-            payload=Login1Request(email=self.email, client_public_key=self.public_key),
-            on_reply=handle_login1,
-            on_error=fail,
-            timeout=self.round_timeout,
-            trace=self._ctx(spans["round"]),
-        )
-
-    # ------------------------------------------------------------------
-    # Channel switch (two chained exchanges)
-    # ------------------------------------------------------------------
+        _Exchange(self, "LOGIN", login_script(self), um_address, adopt, on_fail)
 
     def start_switch(
         self,
@@ -282,24 +136,8 @@ class AsyncClient:
         on_fail: Optional[Callable[[Exception], None]] = None,
     ) -> None:
         """Begin the switch flow for ``channel_id``."""
-        if self.user_ticket is None:
-            raise RuntimeError("login first")
-        self._start_switch_rounds(
-            cm_address,
-            op_name="SWITCH",
-            round_names=("SWITCH1", "SWITCH2"),
-            request1=Switch1Request(
-                user_ticket=self.user_ticket, channel_id=channel_id
-            ),
-            request2_builder=lambda token, signature: Switch2Request(
-                user_ticket=self.user_ticket,
-                token=token,
-                signature=signature,
-                channel_id=channel_id,
-            ),
-            on_done=on_done,
-            on_fail=on_fail,
-        )
+        script = switch_script(self, channel_id=channel_id)
+        _Exchange(self, "SWITCH", script, cm_address, self._adopter(on_done), on_fail)
 
     def start_renewal(
         self,
@@ -308,103 +146,16 @@ class AsyncClient:
         on_fail: Optional[Callable[[Exception], None]] = None,
     ) -> None:
         """Begin renewal of the held Channel Ticket (Section IV-D)."""
-        if self.user_ticket is None or self.channel_ticket is None:
-            raise RuntimeError("switch first")
-        expiring = self.channel_ticket
-        self._start_switch_rounds(
-            cm_address,
-            op_name="RENEWAL",
-            round_names=("RENEW1", "RENEW2"),
-            request1=Switch1Request(
-                user_ticket=self.user_ticket, expiring_ticket=expiring
-            ),
-            request2_builder=lambda token, signature: Switch2Request(
-                user_ticket=self.user_ticket,
-                token=token,
-                signature=signature,
-                expiring_ticket=expiring,
-            ),
-            on_done=on_done,
-            on_fail=on_fail,
-        )
+        script = switch_script(self, expiring=self.channel_ticket)
+        _Exchange(self, "RENEWAL", script, cm_address, self._adopter(on_done), on_fail)
 
-    def _start_switch_rounds(
-        self,
-        cm_address: str,
-        op_name: str,
-        round_names,
-        request1: Switch1Request,
-        request2_builder,
-        on_done: Callable[[Switch2Response], None],
-        on_fail: Optional[Callable[[Exception], None]],
-    ) -> None:
-        """The shared SWITCH1+SWITCH2 exchange (fresh issue or renewal)."""
-        sim = self._network.sim
-        sent_at = sim.now
-        round1_name, round2_name = round_names
-        op = self._open_span(op_name, kind="op")
-        spans = {
-            "round": self._open_span(round1_name, kind="round", parent=self._ctx(op))
-        }
+    def _adopter(self, on_done: Callable[[Switch2Response], None]):
+        def adopt(response: Switch2Response) -> None:
+            self.channel_ticket = response.ticket
+            self.peers = response.peers
+            on_done(response)
 
-        def fail(exc: Exception) -> None:
-            self._close_span(spans["round"], error=exc)
-            self._close_span(op, error=exc)
-            self.errors.append(exc)
-            if on_fail is not None:
-                on_fail(exc)
-
-        def handle_switch1(response1) -> None:
-            self.collector.record(round1_name, sent_at, sim.now - sent_at)
-            self._close_span(spans["round"])
-            state = {}
-
-            def compute() -> None:
-                state["signature"] = answer_challenge(response1.token, self._key)
-
-            def send_round2() -> None:
-                sent2_at = sim.now
-                spans["round"] = self._open_span(
-                    round2_name, kind="round", parent=self._ctx(op)
-                )
-
-                def handle_switch2(response2: Switch2Response) -> None:
-                    self.collector.record(round2_name, sent2_at, sim.now - sent2_at)
-                    self._close_span(spans["round"])
-                    self._close_span(op)
-                    self.channel_ticket = response2.ticket
-                    self.peers = response2.peers
-                    on_done(response2)
-
-                self._network.call(
-                    caller_address=self.net_addr,
-                    caller_region=self.region,
-                    dst_address=cm_address,
-                    method="switch2",
-                    payload=request2_builder(response1.token, state["signature"]),
-                    on_reply=handle_switch2,
-                    on_error=fail,
-                    timeout=self.round_timeout,
-                    trace=self._ctx(spans["round"]),
-                )
-
-            self._charge_compute(OP_CHALLENGE_SIGN, compute, send_round2)
-
-        self._network.call(
-            caller_address=self.net_addr,
-            caller_region=self.region,
-            dst_address=cm_address,
-            method="switch1",
-            payload=request1,
-            on_reply=handle_switch1,
-            on_error=fail,
-            timeout=self.round_timeout,
-            trace=self._ctx(spans["round"]),
-        )
-
-    # ------------------------------------------------------------------
-    # Peer join (single exchange)
-    # ------------------------------------------------------------------
+        return adopt
 
     def start_join(
         self,
@@ -413,51 +164,109 @@ class AsyncClient:
         on_fail: Optional[Callable[[Exception], None]] = None,
     ) -> None:
         """Begin the join exchange with one target peer."""
-        sim = self._network.sim
-        if self.channel_ticket is None:
-            raise RuntimeError("switch first")
-        sent_at = sim.now
-        from repro.core.protocol import JoinReject, JoinRequest
-        from repro.errors import CapacityError
-
-        op = self._open_span("JOIN", kind="op")
-        spans = {"round": self._open_span("JOIN1", kind="round", parent=self._ctx(op))}
-
-        def fail(exc: Exception) -> None:
-            self._close_span(spans["round"], error=exc)
-            self._close_span(op, error=exc)
-            self.errors.append(exc)
-            if on_fail is not None:
-                on_fail(exc)
-
-        def handle_join(result) -> None:
-            self.collector.record("JOIN", sent_at, sim.now - sent_at)
-            if isinstance(result, JoinReject):
-                fail(CapacityError(result.reason))
-                return
-            self._close_span(spans["round"])
-            # Decrypt the session key (client compute), then done.
-            state = {}
-
-            def compute() -> None:
-                state["session"] = SymmetricKey(
-                    material=self._key.decrypt(result.encrypted_session_key)
-                )
-
-            def finish() -> None:
-                self._close_span(op)
-                on_done(result)
-
-            self._charge_compute(OP_JOIN_DECRYPT, compute, finish)
-
-        self._network.call(
-            caller_address=self.net_addr,
-            caller_region=self.region,
-            dst_address=peer_address,
-            method="join",
-            payload=JoinRequest(channel_ticket=self.channel_ticket),
-            on_reply=handle_join,
-            on_error=fail,
-            timeout=self.round_timeout,
-            trace=self._ctx(spans["round"]),
+        _Exchange(
+            self, "JOIN", join_script(self), peer_address,
+            lambda result: on_done(result[0]), on_fail,
         )
+
+
+class _Exchange:
+    """One operation in flight: a protocol script resumed by RPC replies.
+
+    Its bound methods are the network and simulator callbacks, so a
+    finished operation holds no reference to itself and is freed
+    without the cyclic collector.  Spans across the async hops are
+    parented explicitly (the callback chain has no ambient stack).
+    """
+
+    __slots__ = (
+        "client", "op_name", "script", "address", "adopt", "on_fail",
+        "request", "result", "op_span", "round_span", "sent_at",
+    )
+
+    def __init__(self, client, op_name, script, address, adopt, on_fail) -> None:
+        self.client = client
+        self.op_name = op_name
+        self.script = script
+        self.address = address
+        self.adopt = adopt
+        self.on_fail = on_fail
+        # Priming checks the preconditions: a ProtocolError leaves
+        # here, before any span is opened or message sent.
+        self.request = next(script)
+        self.op_span = self._open_span(op_name, "op", None)
+        self.send(client._network.sim)
+
+    def _open_span(self, name: str, kind: str, parent: Optional[Span]) -> Optional[Span]:
+        client = self.client
+        if client.tracer is None:
+            return None
+        span = client.tracer.start_span(
+            name,
+            now=client._network.sim.now,
+            parent=parent.context if parent is not None else None,
+            kind=kind,
+        )
+        span.annotate("client", client.email)
+        return span
+
+    def _close_span(self, span: Optional[Span], error: Optional[Exception] = None) -> None:
+        if span is None:
+            return
+        if error is not None:
+            span.annotate("error", type(error).__name__)
+        self.client.tracer.finish(span, now=self.client._network.sim.now)
+
+    def send(self, sim) -> None:
+        client, request = self.client, self.request
+        self.sent_at = sim.now
+        # A one-round operation's round is labelled like the operation.
+        name = request.label + "1" if request.label == self.op_name else request.label
+        self.round_span = self._open_span(name, "round", self.op_span)
+        client._network.call(
+            caller_address=client.net_addr,
+            caller_region=client.region,
+            dst_address=self.address,
+            method=request.method,
+            payload=request.payload,
+            on_reply=self.on_reply,
+            on_error=self.fail,
+            timeout=client.round_timeout,
+            trace=self.round_span.context if self.round_span is not None else None,
+        )
+
+    def on_reply(self, reply) -> None:
+        client, request = self.client, self.request
+        sim = client._network.sim
+        client.collector.record(request.label, self.sent_at, sim.now - self.sent_at)
+        try:
+            self.request = self.script.send(reply)
+            proceed = self.send
+        except StopIteration as done:
+            self.result = done.value
+            proceed = self.finish
+        except ReproError as exc:
+            # The viewer's own failure (wrong password, malformed blob,
+            # JOIN refused) fails this operation, not the simulation.
+            self.fail(exc)
+            return
+        self._close_span(self.round_span)
+        if request.reply_cost is None:
+            proceed(sim)
+        else:
+            # The compute above ran now (its result feeds the next
+            # message), but virtual time advances by its *modeled* cost:
+            # charging measured durations would make event orderings
+            # nondeterministic run-to-run.
+            sim.schedule(DEFAULT_COSTS[request.reply_cost], proceed)
+
+    def finish(self, sim) -> None:
+        self._close_span(self.op_span)
+        self.adopt(self.result)
+
+    def fail(self, exc: Exception) -> None:
+        self._close_span(self.round_span, error=exc)
+        self._close_span(self.op_span, error=exc)
+        self.client.errors.append(exc)
+        if self.on_fail is not None:
+            self.on_fail(exc)

@@ -13,8 +13,7 @@ Pieces:
 * :class:`VirtualNetwork` -- owns the engine, the latency model, and
   the address table;
 * :class:`RpcService` -- an addressable endpoint: named handlers, an
-  optional :class:`~repro.sim.station.ServiceStation` for queueing;
-* :func:`expose` -- helper wiring an object's methods as handlers.
+  optional :class:`~repro.sim.station.ServiceStation` for queueing.
 
 Handlers have the signature ``handler(payload, ctx) -> response`` where
 ``ctx`` carries the caller's address and the virtual time.  Exceptions
@@ -89,18 +88,6 @@ class RpcService:
         if handler is None:
             raise SimulationError(f"no handler {method!r} at {self.address}")
         return handler
-
-
-def expose(service: RpcService, obj: object, methods: Dict[str, str]) -> None:
-    """Wire ``obj`` methods as handlers.
-
-    ``methods`` maps RPC method name -> attribute name.  The bound
-    attribute is called as ``attr(payload, ctx)``; use small lambda
-    adapters on the object side when signatures differ.
-    """
-    for rpc_name, attr_name in methods.items():
-        attr = getattr(obj, attr_name)
-        service.register(rpc_name, attr)
 
 
 class VirtualNetwork:

@@ -15,15 +15,18 @@ package supplies that layer:
 * :mod:`repro.store.snapshot` -- atomic full-state images with a WAL
   watermark;
 * :mod:`repro.store.store` -- :class:`DurableStore`, the
-  snapshot+log facade the managers journal through.
+  snapshot+log facade the managers journal through;
+* :mod:`repro.store.journal` -- :class:`Journaled`, the managers' half
+  of that contract, written once.
 
 Managers integrate via ``attach_store(...)`` (journal every mutation)
 and ``recover(store, ...)`` (rebuild identical in-memory state from
-snapshot + replay); see the manager modules and DESIGN.md's
-"Durability & recovery" section.
+snapshot + replay), both inherited from :class:`Journaled`; see the
+manager modules and DESIGN.md's "Durability & recovery" section.
 """
 
 from repro.store.backend import FileBackend, MemoryBackend, StoreBackend, StoreError
+from repro.store.journal import Journaled
 from repro.store.snapshot import Snapshot, SnapshotError
 from repro.store.store import DurableStore, RecoveredState, StoreReport
 from repro.store.wal import WalError, WalRecord, WalScan, scan
@@ -31,6 +34,7 @@ from repro.store.wal import WalError, WalRecord, WalScan, scan
 __all__ = [
     "DurableStore",
     "FileBackend",
+    "Journaled",
     "MemoryBackend",
     "RecoveredState",
     "Snapshot",

@@ -217,6 +217,18 @@ class TestPolicyManagerDurability:
         assert twice.get_channel("news").to_bytes() == \
             recovered.get_channel("news").to_bytes()
 
+    def test_replay_cannot_journal(self):
+        # Replay runs the public mutators, each of which journals -- but
+        # the store is adopted only once replay has ended, so nothing
+        # is appended a second time (no ``_replaying`` flag needed).
+        store = DurableStore(MemoryBackend())
+        self._populated(store)
+        replayed = store.record_count()
+        recovered = ChannelPolicyManager.recover(store)
+        assert store.record_count() == replayed > 0
+        recovered.add_channel("post", 60.0)
+        assert store.record_count() == replayed + 1
+
 
 class TestAutoSnapshot:
     def test_snapshot_every_bounds_wal(self):

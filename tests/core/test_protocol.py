@@ -3,20 +3,7 @@
 import pytest
 
 from repro.core.attributes import Attribute, AttributeSet
-from repro.core.challenge import Challenge
-from repro.core.protocol import (
-    JoinAccept,
-    JoinReject,
-    JoinRequest,
-    KeyUpdate,
-    Login1Request,
-    Login1Response,
-    Login2Request,
-    PeerDescriptor,
-    Round,
-    Switch1Request,
-    Switch2Response,
-)
+from repro.core.protocol import KeyUpdate, Switch1Request
 from repro.core.tickets import ChannelTicket, UserTicket
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import generate_keypair
@@ -44,54 +31,6 @@ def make_channel_ticket():
         start_time=0.0,
         expire_time=100.0,
     ).signed(KEY)
-
-
-class TestRoundEnum:
-    def test_exactly_the_five_measured_rounds(self):
-        assert {r.value for r in Round} == {
-            "LOGIN1", "LOGIN2", "SWITCH1", "SWITCH2", "JOIN",
-        }
-
-
-class TestMessageSizes:
-    """approx_size keeps the simulator's serialization delays honest."""
-
-    def test_login1_size_reasonable(self):
-        request = Login1Request(email="a@b.c", client_public_key=KEY.public_key)
-        assert 50 < request.approx_size() < 500
-
-    def test_sizes_positive_for_all_messages(self):
-        challenge = Challenge(subject="1", nonce=b"n" * 16, issued_at=0.0, mac=b"m" * 32)
-        user_ticket = make_user_ticket()
-        channel_ticket = make_channel_ticket()
-        messages = [
-            Login1Request(email="a@b.c", client_public_key=KEY.public_key),
-            Login1Response(token=challenge, encrypted_blob=b"x" * 64, blob_nonce=1),
-            Login2Request(
-                email="a@b.c", client_public_key=KEY.public_key, token=challenge,
-                nonce=b"n" * 16, checksum=b"c" * 32, version="4.0.5",
-                signature=b"s" * 64,
-            ),
-            Switch1Request(user_ticket=user_ticket, channel_id="ch1"),
-            Switch2Response(ticket=channel_ticket, peers=(
-                PeerDescriptor(peer_id="p", address="11.1.1.1", region="CH"),
-            )),
-            JoinRequest(channel_ticket=channel_ticket),
-            JoinAccept(peer_id="p", encrypted_session_key=b"e" * 64,
-                       encrypted_content_key=b"k" * 32, content_key_serial=1),
-            JoinReject(peer_id="p", reason="no capacity"),
-            KeyUpdate(channel_id="ch1", serial=1, encrypted_content_key=b"k" * 32,
-                      activate_at=60.0),
-        ]
-        for message in messages:
-            assert message.approx_size() > 0, message
-
-    def test_tickets_dominate_switch_sizes(self):
-        """A protocol message is roughly one ticket plus small fields."""
-        user_ticket = make_user_ticket()
-        request = Switch1Request(user_ticket=user_ticket, channel_id="ch1")
-        assert request.approx_size() >= len(user_ticket.to_bytes())
-        assert request.approx_size() < len(user_ticket.to_bytes()) + 200
 
 
 class TestSwitchRequestTargets:

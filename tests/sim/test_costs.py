@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.rsa import RsaPrivateKey
 from repro.deployment import Deployment
 from repro.errors import SimulationError
 from repro.sim.costs import (
@@ -14,10 +15,16 @@ from repro.sim.costs import (
     OP_JOIN_DECRYPT,
     OP_LOGIN_BLOB,
 )
-from repro.sim.driver import AsyncClient
+from repro.sim.driver import (
+    AsyncClient,
+    wire_channel_manager,
+    wire_peer,
+    wire_user_manager,
+)
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel
 from repro.sim.rpc import VirtualNetwork
+from repro.trace.span import Tracer
 
 
 @pytest.fixture
@@ -25,35 +32,69 @@ def client():
     deployment = Deployment(seed=3)
     sim = Simulator()
     network = VirtualNetwork(sim, LatencyModel(random.Random(1)), random.Random(2))
+    return make_client(deployment, network)
+
+
+def make_client(deployment, network, tracer=None):
     return AsyncClient(
         network=network,
         email="cost@example.org",
         password="pw",
         version=deployment.client_version,
         image=deployment.client_image,
-        net_addr="1.2.3.4",
+        net_addr=deployment.geo.random_address("CH", deployment.rng),
         region="CH",
         drbg=HmacDrbg(b"cost", b"client"),
+        tracer=tracer,
     )
 
 
-def charged(client, op, fn=lambda: None):
-    """Virtual seconds between ``_charge_compute`` and its continuation."""
-    sim = client._network.sim
-    start = sim.now
-    fired = []
-    client._charge_compute(op, fn, lambda: fired.append(sim.now))
-    sim.run()
-    return fired[0] - start
+def charged(monkeypatch, slow=False):
+    """Virtual seconds charged per ``OP_*`` name over one traced
+    login -> switch -> join: the gap between a round's reply and the
+    next message leaving (after JOIN: ``on_done`` firing)."""
+    if slow:
+        for name in ("sign", "decrypt"):
+            fast = getattr(RsaPrivateKey, name)
+
+            def slowed(self, data, fast=fast):
+                time.sleep(0.02)
+                return fast(self, data)
+
+            monkeypatch.setattr(RsaPrivateKey, name, slowed)
+    deployment = Deployment(seed=3)
+    deployment.add_free_channel("cost", regions=["CH"])
+    seeder = deployment.create_client("seed@example.org", "pw", region="CH")
+    seeder.login(now=0.0)
+    network = VirtualNetwork(
+        Simulator(), LatencyModel(random.Random(1)), random.Random(2)
+    )
+    wire_user_manager(network, deployment.user_managers["domain-0"], "rpc://um")
+    wire_channel_manager(network, deployment.channel_manager_for("cost"), "rpc://cm")
+    wire_peer(network, deployment.watch(seeder, "cost", now=0.0, capacity=4), "rpc://peer")
+    deployment.accounts.register("cost@example.org", "pw")
+    tracer = Tracer()
+    client = make_client(deployment, network, tracer)
+    joined = []
+    client.start_login("rpc://um", on_done=lambda: client.start_switch(
+        "rpc://cm", "cost", on_done=lambda _response: client.start_join(
+            "rpc://peer", on_done=joined.append)))
+    network.sim.run()
+    assert joined, client.errors
+    span = {s.name: s for s in tracer.spans if s.kind in ("op", "round")}
+    return {
+        OP_LOGIN_BLOB: span["LOGIN2"].start - span["LOGIN1"].end,
+        OP_CHALLENGE_SIGN: span["SWITCH2"].start - span["SWITCH1"].end,
+        OP_JOIN_DECRYPT: span["JOIN"].end - span["JOIN1"].end,
+    }
 
 
 class TestFixedCostModel:
-    def test_charge_ignores_measured_duration(self, client):
+    def test_charge_ignores_measured_duration(self, monkeypatch):
         # Wildly different wall-clock durations, identical charges:
         # this is the property that makes transcripts reproducible.
-        assert charged(client, OP_CHALLENGE_SIGN) == pytest.approx(
-            charged(client, OP_CHALLENGE_SIGN, lambda: time.sleep(0.02))
-        )
+        fast = charged(monkeypatch)
+        assert charged(monkeypatch, slow=True) == pytest.approx(fast)
 
     def test_table_costs(self):
         # The table prices exactly the operations the driver charges.
@@ -68,15 +109,13 @@ class TestFixedCostModel:
 
 
 class TestDriverUsesDeterministicCosts:
-    def test_async_client_defaults_to_fixed_model(self, client):
-        for op in DEFAULT_COSTS:
-            assert charged(client, op) == pytest.approx(DEFAULT_COSTS[op])
+    def test_async_client_defaults_to_fixed_model(self, monkeypatch):
+        assert charged(monkeypatch) == pytest.approx(DEFAULT_COSTS)
 
     def test_same_seed_same_event_times(self):
         # End-to-end: two traced storms with one seed agree on every
         # span timestamp -- the symptom the wall-clock charging bug
         # used to produce is exactly a mismatch here.
-        from repro.trace.span import Tracer
         from repro.trace.storm import run_switch_storm
 
         times = []

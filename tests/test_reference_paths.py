@@ -8,9 +8,10 @@ So nothing in ``src/`` outside the defining module may mention a
 ``reference_*`` function, and the names of the twins and switches that
 were deleted under this rule must not come back.
 
-The same file guards the sibling rule for ``Deployment`` ("Construction
-and wiring"): one construction site per manager kind, facilities
-attached only by the ``_wire_*`` functions.
+The same file guards the sibling rules: for ``Deployment``
+("Construction and wiring") one construction site per manager kind,
+facilities attached only by the ``_wire_*`` functions; for the viewer's
+protocols ("One protocol script") requests built only by the scripts.
 """
 
 import ast
@@ -181,3 +182,58 @@ def test_wiring_scan_catches_a_second_site_and_a_stray_attachment():
     assert sites["UserManager.recover"] == {"_build"}
     assert sites["ChannelManager"] == set()
     assert stray == ["add_replicas:6", "add_replicas:7", "enable_tracing:10"]
+
+
+# ----------------------------------------------------------------------
+# One protocol script (DESIGN.md, "One protocol script"): the client's
+# side of LOGIN / SWITCH / RENEWAL / JOIN is written once, so only the
+# script module builds a protocol request.
+# ----------------------------------------------------------------------
+
+REQUEST_CONSTRUCTORS = {
+    "Login1Request", "Login2Request", "Switch1Request", "Switch2Request", "JoinRequest",
+}
+REQUEST_BUILDERS = {
+    "repro/core/exchange.py",
+    # Times one server handler in isolation, so it hand-builds that
+    # handler's input; it runs no exchange.
+    "repro/experiments/calibration.py",
+}
+
+
+def scan_request_construction(root):
+    """``path:line Name`` for every request constructed outside the allow-list."""
+    stray = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        if relative in REQUEST_BUILDERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in REQUEST_CONSTRUCTORS:
+                    stray.append(f"{relative}:{node.lineno} {name}")
+    return stray
+
+
+def test_protocol_requests_are_built_only_by_the_scripts():
+    for relative in REQUEST_BUILDERS:  # a rename must not hollow the list
+        assert (SRC / relative).is_file(), relative
+    assert not scan_request_construction(SRC)
+
+
+def test_request_scan_catches_a_second_client(tmp_path):
+    (tmp_path / "repro" / "core").mkdir(parents=True)
+    (tmp_path / "repro" / "core" / "exchange.py").write_text(
+        "def join_script(who):\n    yield JoinRequest(channel_ticket=who.ticket)\n"
+    )
+    (tmp_path / "repro" / "fork.py").write_text(
+        "from repro.core import protocol\n"
+        "from repro.core.protocol import Switch1Request as Request\n"  # alias: a type, fine
+        "def start_switch(self):\n"
+        "    first = Switch1Request(user_ticket=self.user_ticket)\n"
+        "    return first, protocol.Login1Request(email=self.email)\n"
+    )
+    assert scan_request_construction(tmp_path) == [
+        "repro/fork.py:4 Switch1Request", "repro/fork.py:5 Login1Request",
+    ]
