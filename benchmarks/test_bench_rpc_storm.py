@@ -86,36 +86,27 @@ def build_packet_storm(n_viewers: int = 16):
     return deployment, overlay, peers
 
 
-def run_packet_storm(overlay, n_packets: int, gop: int = 0) -> float:
-    """Broadcast ``n_packets`` 4 kB frames; returns elapsed seconds.
-
-    ``gop > 0`` uses the batched GOP path (``broadcast_packets``);
-    ``gop == 0`` the per-packet path (``broadcast_packet``).
-    """
+def run_packet_storm(overlay, n_packets: int) -> float:
+    """Broadcast ``n_packets`` 4 kB frames; returns elapsed seconds."""
     start = time.perf_counter()
-    if gop > 0:
-        for _ in range(0, n_packets, gop):
-            overlay.source.broadcast_packets(2.0, gop)
-    else:
-        for _ in range(n_packets):
-            overlay.source.broadcast_packet(2.0)
+    for _ in range(n_packets):
+        overlay.source.broadcast_packet(2.0)
     return time.perf_counter() - start
 
 
 def test_bench_rpc_packet_storm():
-    """End-to-end data plane on one overlay: the batched GOP path and
-    the per-packet path both deliver every frame to every viewer."""
+    """End-to-end data plane on one overlay: every frame reaches every
+    viewer."""
     n_packets = 120
     deployment, overlay, peers = build_packet_storm()
     baseline_decrypted = peers[0].client.packets_decrypted
 
-    batched = min(run_packet_storm(overlay, n_packets, gop=12) for _ in range(2))
-    per_packet = min(run_packet_storm(overlay, n_packets, gop=0) for _ in range(2))
+    elapsed = min(run_packet_storm(overlay, n_packets) for _ in range(2))
     for peer in peers:
-        assert peer.client.packets_decrypted - baseline_decrypted == 4 * n_packets
+        assert peer.client.packets_decrypted - baseline_decrypted == 2 * n_packets
     print(
         f"\nPacket storm ({n_packets} x 4 kB frames, {len(peers)} viewers): "
-        f"GOP-batched {batched * 1000:.0f} ms, per-packet {per_packet * 1000:.0f} ms"
+        f"{elapsed * 1000:.0f} ms"
     )
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.keystream import ContentKey, ContentKeySchedule
-from repro.core.packets import ContentPacket, encrypt_packet, encrypt_packets
+from repro.core.packets import ContentPacket, encrypt_packet
 from repro.crypto.drbg import HmacDrbg
 from repro.trace.span import Tracer, maybe_span
 
@@ -80,10 +80,6 @@ class ChannelServer:
         self.packets_emitted = 0
         #: Shared tracer, attached by Deployment.enable_tracing().
         self.tracer: Optional[Tracer] = None
-        #: Shared CryptoPool, attached by Deployment.enable_multicore():
-        #: batch sealing in :meth:`emit_packets` fans out across worker
-        #: processes.  None = everything runs in-process.
-        self.crypto_pool = None
 
     def ingest_frame(self, now: float, payload: Optional[bytes] = None) -> MediaFrame:
         """Produce one encoded frame (synthetic payload unless given)."""
@@ -112,35 +108,6 @@ class ChannelServer:
         packet = encrypt_packet(content_key, self.channel_id, frame.sequence, frame.payload)
         self.packets_emitted += 1
         return packet
-
-    def emit_packets(self, now: float, count: int) -> List[ContentPacket]:
-        """Ingest and seal a whole batch of frames (e.g. one GOP).
-
-        All ``count`` frames share the content key active at ``now``
-        (a GOP never straddles an epoch at realistic frame rates), so
-        the schedule is consulted once and the batch is sealed through
-        :func:`~repro.core.packets.encrypt_packets`, which amortizes
-        the per-key cipher state and the AAD encoding over the batch.
-        """
-        if count <= 0:
-            return []
-        if not self.encrypted:
-            frames = [self.ingest_frame(now) for _ in range(count)]
-            self.packets_emitted += count
-            return [
-                ContentPacket(serial=0, sequence=f.sequence, ciphertext=f.payload)
-                for f in frames
-            ]
-        content_key = self.schedule.current_key(now)
-        frames = [self.ingest_frame(now) for _ in range(count)]
-        packets = encrypt_packets(
-            content_key,
-            self.channel_id,
-            [(f.sequence, f.payload) for f in frames],
-            pool=self.crypto_pool,
-        )
-        self.packets_emitted += count
-        return packets
 
     def current_key(self, now: float) -> ContentKey:
         """The active content key (for the overlay root)."""

@@ -309,8 +309,15 @@ class Client:
         self.channel_ticket = ticket
         if reset_state:
             # A genuine channel switch invalidates old keys and parents.
-            self.key_ring = ContentKeyRing()
-            self.parents = {}
+            self._forget_stream()
+
+    def _forget_stream(self) -> None:
+        """Drop keys, parents and the replay floor together: the floor
+        describes the ring it was learned from, so another channel's
+        (or a re-login's) first key must not be measured against it."""
+        self.key_ring = ContentKeyRing()
+        self.parents = {}
+        self._newest_key_activation = 0.0
 
     # ------------------------------------------------------------------
     # Peer join (Fig. 4c)
@@ -320,7 +327,8 @@ class Client:
         """Join one target peer; raises on rejection.
 
         On accept, decrypts the session key with our private key and
-        the bundled content key with the session key (Section IV-E).
+        takes each bundled key update exactly as a pushed one
+        (Section IV-E).
         """
         with maybe_span(self.tracer, "JOIN", now=now, kind="op"):
             return self._join_peer(peer, now)
@@ -333,14 +341,14 @@ class Client:
         self.parents[result.peer_id] = ParentLink(
             peer_id=result.peer_id, session_key=session_key
         )
-        content_key = decrypt_key_from_link(
-            result.encrypted_content_key,
-            serial=result.content_key_serial,
-            session_key=session_key,
-            channel_id=self.channel_ticket.channel_id,
-            activate_at=0.0,
-        )
-        self.key_ring.offer(content_key)
+        for update in result.key_updates:
+            try:
+                self.receive_key_update(update, parent_id=result.peer_id)
+            except ReplayError:
+                # A parent far behind the stream is not a failed join:
+                # the stale key is counted and kept out of the ring,
+                # the link stands and later pushes arrive over it.
+                pass
         return result
 
     def drop_parent(self, peer_id: str) -> None:
@@ -421,5 +429,4 @@ class Client:
         self.net_addr = new_addr
         self.user_ticket = None
         self.channel_ticket = None
-        self.key_ring = ContentKeyRing()
-        self.parents = {}
+        self._forget_stream()

@@ -20,9 +20,10 @@ What stays different per driver, on purpose:
 * ``Client`` resolved the User Manager itself and verifies the User
   Ticket against that endpoint's key; ``AsyncClient`` is handed an
   address and has no key to verify against.
-* ``Client`` keeps the JOIN session key as a ``ParentLink`` and
-  decrypts the bundled content key; ``AsyncClient`` hands ``on_done``
-  the ``JoinAccept`` only (an async viewer cannot decrypt yet).
+* ``Client`` keeps the JOIN session key as a ``ParentLink`` and takes
+  the bundled key updates as pushed ones; ``AsyncClient`` hands
+  ``on_done`` the ``JoinAccept`` only (an async viewer cannot decrypt
+  yet).
 * JOIN is one round labelled like its operation: ``Client`` opens no
   round span inside the ``JOIN`` op span, ``AsyncClient`` -- whose RPC
   spans are parented explicitly -- opens one named ``JOIN1``; the

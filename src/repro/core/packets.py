@@ -12,19 +12,18 @@ detects channel hijacking: rogue packets "accidentally or maliciously
 injected into the P2P network to masquerade as legitimate contents"
 fail authentication at every honest client.
 
-This module is on the data plane's per-frame hot path, so it offers
-batch entry points (:func:`encrypt_packets` for whole-GOP sealing,
-:func:`reencrypt_key_for_links` for per-child key fan-out) that hoist
-the invariant work -- key lookup, AAD encoding, cipher state -- out of
-the per-packet/per-child loop, and :meth:`ContentPacket.from_bytes`
-accepts any bytes-like buffer so wire decode can hand it a
-:class:`memoryview` without copying first.
+This module is on the data plane's hot path:
+:func:`reencrypt_key_for_links` hoists the invariant work of a key
+fan-out -- AAD encoding, nonce, key material -- out of the per-child
+loop, and :meth:`ContentPacket.from_bytes` accepts any bytes-like
+buffer so wire decode can hand it a :class:`memoryview` without
+copying first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List
 
 from repro.core.keystream import ContentKey, ContentKeyRing
 from repro.crypto.stream import SymmetricKey
@@ -93,39 +92,6 @@ def encrypt_packet(
     )
 
 
-def encrypt_packets(
-    content_key: ContentKey,
-    channel_id: str,
-    frames: Sequence[Tuple[int, bytes]],
-    pool=None,
-) -> List[ContentPacket]:
-    """Seal a whole batch of ``(sequence, payload)`` frames (one GOP).
-
-    Equivalent to calling :func:`encrypt_packet` per frame but the AAD
-    is encoded once and the cipher amortizes its per-key state over
-    the batch (:meth:`SymmetricKey.encrypt_many`).
-
-    ``pool`` (a :class:`repro.parallel.pool.CryptoPool`) spreads the
-    batch across worker processes; the output bytes are identical, and
-    the workers' counter deltas are folded back here so the totals
-    below stay exact.
-    """
-    aad = channel_id.encode("utf-8")
-    sequences = [sequence for sequence, _ in frames]
-    payloads = [payload for _, payload in frames]
-    if pool is not None:
-        ciphertexts = pool.encrypt_many(content_key.key, payloads, sequences, aad=aad)
-    else:
-        ciphertexts = content_key.key.encrypt_many(payloads, sequences, aad=aad)
-    serial = content_key.serial
-    dataplane_counters.packets_sealed += len(frames)
-    dataplane_counters.bytes_sealed += sum(len(p) for p in payloads)
-    return [
-        ContentPacket(serial=serial, sequence=sequence, ciphertext=ciphertext)
-        for sequence, ciphertext in zip(sequences, ciphertexts)
-    ]
-
-
 def decrypt_packet(
     ring: ContentKeyRing, channel_id: str, packet: ContentPacket
 ) -> bytes:
@@ -181,20 +147,16 @@ def reencrypt_key_for_links(
     content_key: ContentKey,
     session_keys: Iterable[SymmetricKey],
     channel_id: str,
-    pool=None,
 ) -> List[bytes]:
     """Re-encrypt one content key for a whole set of child links.
 
     The per-message parts that do not vary across children -- the AAD,
     the nonce bytes, the key-material plaintext -- are built once; the
-    per-child work is exactly one session-key encryption, which a
-    ``pool`` fans out across worker processes for wide nodes.
+    per-child work is exactly one session-key encryption.
     """
     aad = b"keydist|" + channel_id.encode("utf-8")
     material = content_key.key.material
     serial = content_key.serial
-    if pool is not None:
-        return pool.seal_links(material, serial, aad, list(session_keys))
     return [
         session_key.encrypt(material, nonce=serial, aad=aad)
         for session_key in session_keys

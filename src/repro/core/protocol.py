@@ -175,13 +175,13 @@ class JoinRequest:
 @dataclass(frozen=True)
 class JoinAccept:
     """Join accepted: session key (encrypted to the client's public
-    key) and the current content key (encrypted under the session key),
-    as prescribed by Section IV-E."""
+    key) and the content keys the joiner needs now -- the active one
+    plus any already pushed for the next epoch -- each as the same
+    :class:`KeyUpdate` the push path sends (Section IV-E)."""
 
     peer_id: str
     encrypted_session_key: bytes
-    encrypted_content_key: bytes
-    content_key_serial: int
+    key_updates: Tuple[KeyUpdate, ...]
 
 
 @dataclass(frozen=True)

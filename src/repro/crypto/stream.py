@@ -43,7 +43,6 @@ import hashlib
 import hmac
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Sequence
 
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import DecryptionError, KeyFormatError
@@ -178,55 +177,6 @@ class SymmetricKey:
         body = _xor_bytes(plaintext, stream)
         tag = self._tag(body, nonce, aad)
         return body + tag
-
-    def encrypt_many(
-        self,
-        plaintexts: Sequence[bytes],
-        nonces: Sequence[int],
-        aad: bytes = b"",
-    ) -> List[bytes]:
-        """Seal a whole batch (e.g. one GOP) under this key.
-
-        Semantically identical to ``[encrypt(p, n, aad) for p, n in
-        zip(plaintexts, nonces)]`` but hoists the per-key XOF/MAC state
-        lookups and the AAD tag header out of the loop.  One extra
-        check the scalar loop cannot make: a nonce repeated *within*
-        the batch raises ``ValueError`` instead of silently reusing
-        keystream.
-        """
-        if len(plaintexts) != len(nonces):
-            raise ValueError(
-                f"{len(plaintexts)} plaintexts but {len(nonces)} nonces"
-            )
-        if any(nonce < 0 for nonce in nonces):
-            raise ValueError("nonce must be non-negative")
-        if len(set(nonces)) != len(nonces):
-            # Two messages sealed under the same (key, nonce) share a
-            # keystream: XOR of the ciphertexts reveals the XOR of the
-            # plaintexts.  The packet paths can't produce duplicates
-            # (sequence numbers are monotone) but the API is public.
-            raise ValueError("duplicate nonce in batch (keystream reuse)")
-        prefix = _prefix_state(self.material)
-        mac = _mac_state(self.material)
-        aad_header = len(aad).to_bytes(4, "big") + aad
-        out: List[bytes] = []
-        blocks = 0
-        for plaintext, nonce in zip(plaintexts, nonces):
-            length = len(plaintext)
-            nonce_b = nonce.to_bytes(8, "big", signed=False)
-            if length:
-                xof = prefix.copy()
-                xof.update(nonce_b)
-                blocks += -(-length // _BLOCK)
-                body = _xor_bytes(plaintext, xof.digest(length))
-            else:
-                body = b""
-            tagger = mac.copy()
-            tagger.update(nonce_b + aad_header)
-            tagger.update(body)
-            out.append(body + tagger.digest()[:_TAG_LEN])
-        dataplane_counters.keystream_blocks += blocks
-        return out
 
     def decrypt(self, ciphertext, nonce: int, aad: bytes = b"") -> bytes:
         """Verify the tag and decrypt; raise :class:`DecryptionError` on tamper.

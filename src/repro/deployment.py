@@ -167,8 +167,6 @@ class Deployment:
         self._join_rate_limit: Optional[Tuple[int, float]] = None
         #: Sharded manager tier, set by :meth:`enable_sharding`.
         self.sharding = None
-        #: Shared process pool, set by :meth:`enable_multicore`.
-        self.crypto_pool = None
         #: Durable stores by component name, populated by
         #: :meth:`enable_durability`.
         self.stores: Dict[str, object] = {}
@@ -425,7 +423,6 @@ class Deployment:
 
     def _wire_channel(self, server: ChannelServer, overlay: ChannelOverlay) -> None:
         server.tracer = overlay.source.tracer = self.tracer
-        server.crypto_pool = overlay.source.crypto_pool = self.crypto_pool
         overlay.scorecard = self.scorecard
         overlay.repair_selector = self._repair_selector
 
@@ -434,7 +431,6 @@ class Deployment:
 
     def _wire_peer(self, peer: Peer) -> None:
         peer.tracer = self.tracer
-        peer.crypto_pool = self.crypto_pool
         peer.scorecard = self.scorecard
         if self.scorecard is not None:
             self.scorecard.note_address(peer.peer_id, peer.address)
@@ -716,28 +712,6 @@ class Deployment:
             if gone:
                 evicted[channel_id] = gone
         return evicted
-
-    def enable_multicore(self, workers: Optional[int] = None, pool=None):
-        """Put the batch crypto plane behind a process pool.
-
-        Attaches one shared :class:`~repro.parallel.pool.CryptoPool`
-        to every component with batch work to offload, existing and
-        future: channel servers and overlay sources (GOP batch
-        sealing), overlay peers (key fan-out).  Outputs are
-        byte-identical to the in-process paths, and worker counter
-        deltas are merged back so ``metrics`` stays exact.
-        ``workers=None`` sizes the pool to the machine; on platforms
-        without ``fork`` the pool runs its inline fallback.  Returns
-        the pool (``pool.stats`` shows up under ``"multicore"``).
-        """
-        from repro.parallel.pool import CryptoPool
-
-        if pool is None:
-            pool = CryptoPool(workers=workers)
-        self.crypto_pool = pool
-        self._wire_all()
-        self.metrics.register("multicore", pool.stats)
-        return pool
 
     # ------------------------------------------------------------------
     # Durability, crash recovery and replicas (see repro.store,

@@ -2,8 +2,8 @@
 
 Each subsystem keeps its tallies in a small dataclass of numeric
 fields (``HotpathCounters``, ``DataplaneCounters``, ...).  They all
-need the same four operations -- zero, copy out, fold a worker's delta
-in, diff against an earlier copy -- so those live here once.
+need the same three operations -- zero, copy out, diff against an
+earlier copy -- so those live here once.
 
 Dependency-free, like the counter modules themselves, so the crypto
 and overlay layers can import them without a cycle.
@@ -26,24 +26,6 @@ class CounterBlock:
     def snapshot(self) -> Dict[str, float]:
         """A plain-dict copy, for reports and benchmark output."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def merge(self, delta: Dict[str, float]) -> None:
-        """Fold a worker process's counter delta into this instance.
-
-        The crypto pool's snapshot-and-merge protocol: each worker
-        snapshots its process-global counters before and after a task
-        and ships back the difference, which the parent merges here so
-        offloaded work stays visible in ``Deployment.metrics``.
-        Unknown names are an error -- a typo'd key would silently drop
-        work from the books.
-        """
-        names = {f.name for f in fields(self)}
-        for name, value in delta.items():
-            if name not in names:
-                raise ValueError(
-                    f"unknown {type(self).__name__} counter: {name!r}"
-                )
-            setattr(self, name, getattr(self, name) + value)
 
     def delta_since(self, before: Dict[str, float]) -> Dict[str, float]:
         """Counter growth since a :meth:`snapshot` (storm windows)."""

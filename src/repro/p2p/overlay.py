@@ -80,9 +80,11 @@ class SourcePeer(Peer):
         self.server = server
         self._pushed_serials: set = set()
 
-    def current_content_key(self, now: float):
-        """Joiners get the server's live key, not a ring lookup."""
-        return self.server.current_key(now)
+    def keys_for_join(self, now: float):
+        """Joiners get the server's live (+ upcoming) key, not a ring
+        lookup: a key :meth:`tick` pushed before this child existed is
+        never pushed again."""
+        return self.server.keys_for_join(now)
 
     def tick(self, now: float) -> int:
         """Rotate/push keys that have entered their distribution window.
@@ -103,21 +105,6 @@ class SourcePeer(Peer):
         """Emit one encrypted packet from the server and forward it."""
         packet = self.server.emit_packet(now)
         return self.forward_packet(packet, substream_count)
-
-    def broadcast_packets(
-        self, now: float, count: int, substream_count: int = 1
-    ) -> int:
-        """Emit and forward a whole batch of packets (e.g. one GOP).
-
-        The server seals all ``count`` frames in one batched call
-        (:meth:`~repro.core.channel_server.ChannelServer.emit_packets`),
-        then each packet is forwarded down the tree.  Returns the total
-        number of child deliveries across the batch.
-        """
-        reached = 0
-        for packet in self.server.emit_packets(now, count):
-            reached += self.forward_packet(packet, substream_count)
-        return reached
 
 
 @dataclass(frozen=True)

@@ -117,10 +117,6 @@ class Peer:
         self.packets_dropped_undecryptable = 0
         #: Shared tracer, attached by Deployment.enable_tracing().
         self.tracer: Optional[Tracer] = None
-        #: Shared CryptoPool, attached by Deployment.enable_multicore():
-        #: the key fan-out in :meth:`push_key_update` runs its
-        #: per-child sealing on worker processes.  None = in-process.
-        self.crypto_pool = None
         #: Shared PeerScorecard, attached by
         #: Deployment.enable_misbehavior_detection().  When present,
         #: undecryptable packets and replayed key updates are
@@ -200,12 +196,20 @@ class Peer:
     # Join admission (Fig. 4c)
     # ------------------------------------------------------------------
 
-    def current_content_key(self, now: float) -> ContentKey:
-        """The content key a joiner should receive (latest held)."""
-        serials = self.client.key_ring.serials()
-        if not serials:
-            raise OverlayError(f"peer {self.peer_id} holds no content key")
-        return self.client.key_ring.get(serials[-1])
+    def keys_for_join(self, now: float) -> List[ContentKey]:
+        """The held keys a joiner must receive: the one active at
+        ``now`` plus every pending one (at most two in an honest ring).
+
+        Ordered by activation time, not serial: serials wrap at 256,
+        activation times do not.
+        """
+        ring = self.client.key_ring
+        held = sorted(
+            (ring.get(serial) for serial in ring.serials()),
+            key=lambda content_key: content_key.activate_at,
+        )
+        active = [key for key in held if key.activate_at <= now]
+        return active[-1:] + held[len(active):]
 
     def handle_join(self, request: JoinRequest, observed_addr: str, now: float):
         """Admit or reject a joiner; returns JoinAccept or JoinReject.
@@ -242,11 +246,13 @@ class Peer:
             return JoinReject(peer_id=self.peer_id, reason="no capacity")
 
         session_key = SymmetricKey.generate(self._drbg)
-        try:
-            content_key = self.current_content_key(now)
-        except OverlayError as exc:
+        content_keys = self.keys_for_join(now)
+        if not content_keys:
             self.joins_rejected += 1
-            return JoinReject(peer_id=self.peer_id, reason=str(exc))
+            return JoinReject(
+                peer_id=self.peer_id,
+                reason=f"peer {self.peer_id} holds no content key",
+            )
         self.children[ticket.user_id] = ChildLink(
             user_id=ticket.user_id, session_key=session_key, ticket=ticket
         )
@@ -257,10 +263,24 @@ class Peer:
             encrypted_session_key=ticket.client_public_key.encrypt(
                 session_key.material, self._drbg
             ),
-            encrypted_content_key=reencrypt_key_for_link(
-                content_key, session_key, self.channel_id
+            key_updates=tuple(
+                self._key_update(
+                    content_key,
+                    reencrypt_key_for_link(content_key, session_key, self.channel_id),
+                )
+                for content_key in content_keys
             ),
-            content_key_serial=content_key.serial,
+        )
+
+    def _key_update(self, content_key: ContentKey, blob: bytes) -> KeyUpdate:
+        """The one link message a content key travels in, pushed or
+        handed over at JOIN."""
+        return KeyUpdate(
+            channel_id=self.channel_id,
+            serial=content_key.serial,
+            encrypted_content_key=blob,
+            activate_at=content_key.activate_at,
+            parent_depth=self.depth,
         )
 
     def bind_child_peer(self, user_id: int, child: "Peer") -> None:
@@ -304,10 +324,10 @@ class Peer:
     def push_key_update(self, content_key: ContentKey, now: float) -> int:
         """Batched fan-out: one key, every child, invariants built once.
 
-        The parts of the per-child message that do not vary -- channel
-        id, serial, activation time, the AAD and key-material plaintext
-        inside :func:`reencrypt_key_for_links` -- are prepared once for
-        the whole batch; the per-child work is exactly one session-key
+        The parts of the per-child sealing that do not vary -- the AAD,
+        nonce and key-material plaintext inside
+        :func:`reencrypt_key_for_links` -- are prepared once for the
+        whole batch; the per-child work is exactly one session-key
         encryption and one :class:`KeyUpdate` construction.  Returns
         the number of link messages sent (including the recursive
         cascade through children that newly learned the key).
@@ -319,11 +339,7 @@ class Peer:
             content_key,
             (link.session_key for link in links),
             self.channel_id,
-            pool=self.crypto_pool,
         )
-        channel_id = self.channel_id
-        serial = content_key.serial
-        activate_at = content_key.activate_at
         self.key_updates_sent += len(links)
         dataplane_counters.fanout_messages += len(links)
         dataplane_counters.fanout_batches += 1
@@ -331,14 +347,9 @@ class Peer:
         for link, blob in zip(links, blobs):
             if link.child_peer is None:
                 continue
-            update = KeyUpdate(
-                channel_id=channel_id,
-                serial=serial,
-                encrypted_content_key=blob,
-                activate_at=activate_at,
-                parent_depth=self.depth,
+            sent += link.child_peer.receive_key_update(
+                self._key_update(content_key, blob), parent=self, now=now
             )
-            sent += link.child_peer.receive_key_update(update, parent=self, now=now)
         return sent
 
     def receive_key_update(self, update: KeyUpdate, parent: "Peer", now: float) -> int:

@@ -69,41 +69,6 @@ class TestEncryptedEmission:
         assert server.packets_emitted == 1
 
 
-class TestBatchEmission:
-    def test_batch_decryptable_with_current_key(self, server):
-        packets = server.emit_packets(30.0, 5)
-        ring = ContentKeyRing()
-        ring.offer(server.current_key(30.0))
-        assert [p.sequence for p in packets] == [0, 1, 2, 3, 4]
-        for packet in packets:
-            assert len(decrypt_packet(ring, "ch1", packet)) == server.frame_size
-
-    def test_batch_counts_and_continues_sequences(self, server):
-        server.emit_packet(0.0)
-        packets = server.emit_packets(1.0, 3)
-        assert [p.sequence for p in packets] == [1, 2, 3]
-        assert server.packets_emitted == 4
-
-    def test_empty_batch(self, server):
-        assert server.emit_packets(0.0, 0) == []
-        assert server.packets_emitted == 0
-
-    def test_pre_start_batch_does_not_count(self):
-        from repro.errors import ProtocolError
-
-        server = ChannelServer("late", HmacDrbg(b"late"), start_time=100.0)
-        with pytest.raises(ProtocolError):
-            server.emit_packets(50.0, 4)
-        assert server.packets_emitted == 0
-
-    def test_unencrypted_batch_in_the_clear(self):
-        server = ChannelServer("open", HmacDrbg(b"open"), encrypted=False)
-        packets = server.emit_packets(0.0, 2)
-        assert len(packets) == 2
-        assert all(p.serial == 0 for p in packets)
-        assert all(len(p.ciphertext) == server.frame_size for p in packets)
-
-
 class TestUnencryptedChannel:
     """Footnote 2: public-mandate broadcasters distribute in the clear."""
 

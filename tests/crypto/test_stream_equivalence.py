@@ -83,26 +83,6 @@ class TestCiphertextEquivalence:
                 reference_decrypt(key, blob, nonce=1)
 
 
-class TestEncryptMany:
-    def test_matches_sequential_encrypt(self, key):
-        plaintexts = [bytes(i & 0xFF for i in range(size)) for size in BOUNDARY_SIZES]
-        nonces = list(range(100, 100 + len(plaintexts)))
-        batch = key.encrypt_many(plaintexts, nonces, aad=b"chan")
-        single = [key.encrypt(p, n, aad=b"chan") for p, n in zip(plaintexts, nonces)]
-        assert batch == single
-
-    def test_length_mismatch_rejected(self, key):
-        with pytest.raises(ValueError):
-            key.encrypt_many([b"a", b"b"], [1])
-
-    def test_negative_nonce_rejected(self, key):
-        with pytest.raises(ValueError):
-            key.encrypt_many([b"a"], [-1])
-
-    def test_empty_batch(self, key):
-        assert key.encrypt_many([], []) == []
-
-
 @given(
     plaintext=st.binary(min_size=0, max_size=8192),
     nonce=st.integers(min_value=0, max_value=2**63),
@@ -115,17 +95,3 @@ def test_property_fast_equals_reference(plaintext, nonce, aad):
     assert fast == reference_encrypt(key, plaintext, nonce, aad)
     assert key.decrypt(fast, nonce, aad) == plaintext
     assert reference_decrypt(key, fast, nonce, aad) == plaintext
-
-
-@given(
-    sizes=st.lists(st.integers(min_value=0, max_value=300), min_size=0, max_size=8),
-    start_nonce=st.integers(min_value=0, max_value=2**32),
-)
-@settings(max_examples=60)
-def test_property_encrypt_many_equals_loop(sizes, start_nonce):
-    key = SymmetricKey.generate(HmacDrbg(b"prop-many"))
-    plaintexts = [bytes((i + j) & 0xFF for j in range(size)) for i, size in enumerate(sizes)]
-    nonces = [start_nonce + i for i in range(len(sizes))]
-    assert key.encrypt_many(plaintexts, nonces, aad=b"g") == [
-        key.encrypt(p, n, aad=b"g") for p, n in zip(plaintexts, nonces)
-    ]

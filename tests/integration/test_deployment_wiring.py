@@ -19,12 +19,10 @@ from repro.deployment import Deployment
 from repro.errors import ReproError
 from repro.p2p.adversary import AdversaryConfig
 from repro.p2p.peer import Peer
-from repro.parallel import CryptoPool
 
 FACILITIES = {
     "tracing": lambda d: d.enable_tracing(),
     "detection": lambda d: d.enable_misbehavior_detection(join_rate_limit=(5, 10.0)),
-    "multicore": lambda d: d.enable_multicore(pool=CryptoPool(workers=1)),
     "sharding": lambda d: d.enable_sharding(),
     "durability": lambda d: d.enable_durability(),
     "uniform_peer_lists": lambda d: d.use_uniform_peer_lists(),
@@ -34,7 +32,6 @@ FACILITIES = {
 TOUCHES = {
     "tracing": {"um", "cm", "channel", "peer"},
     "detection": {"cm", "channel", "peer"},
-    "multicore": {"channel", "peer"},
     "sharding": {"cm"},
     "durability": {"um", "cm"},
     "uniform_peer_lists": {"cm", "channel"},
@@ -57,15 +54,12 @@ def wiring(component):
     if isinstance(component, Peer):
         return {
             "tracer": component.tracer,
-            "crypto_pool": component.crypto_pool,
             "scorecard": component.scorecard,
         }
     server, overlay = component  # a channel
     return {
         "server_tracer": server.tracer,
         "source_tracer": overlay.source.tracer,
-        "server_pool": server.crypto_pool,
-        "source_pool": overlay.source.crypto_pool,
         "scorecard": overlay.scorecard,
         "repair_selector": overlay.repair_selector,
     }
@@ -192,9 +186,7 @@ def labelled_wiring(deployment):
     names = {
         id(deployment.tracer): "tracer",
         id(deployment.scorecard): "scorecard",
-        id(deployment.crypto_pool): "crypto_pool",
         id(deployment.sharding.viewing): "viewing_router",
-        id(deployment.ranked_provider): "ranked_provider",
     }
 
     def label(value):
@@ -221,9 +213,9 @@ def labelled_wiring(deployment):
 
 
 def test_enabling_facilities_commutes():
-    """Every order of the five ``enable_*`` calls over a deployment with
+    """Every order of the five facility calls over a deployment with
     one replica per farm ends in the same wiring."""
-    facilities = ["tracing", "detection", "multicore", "sharding", "durability"]
+    facilities = list(FACILITIES)
     outcomes = {}
     for order in itertools.permutations(facilities):
         deployment, _ = build()
@@ -241,7 +233,7 @@ def test_enabling_facilities_commutes():
         "rate_limit": (5, 10.0),
         "rate_limit_listener": "_on_rate_limited",
         "viewing_router": "viewing_router",
-        "peer_list_provider": "ranked_provider",
+        "peer_list_provider": "_peer_list_provider",
         "journals": True,
     }
     assert all(outcome == reference for outcome in outcomes.values())

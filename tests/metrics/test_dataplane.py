@@ -44,7 +44,8 @@ class TestEndToEndBalance:
         b = ticketed_peer(deployment, "b@example.org", capacity=2)
         overlay.join(b, [a.descriptor()], now=2.0)
         dataplane_counters.reset()
-        overlay.source.broadcast_packets(3.0, 4)
+        for _ in range(4):
+            overlay.source.broadcast_packet(3.0)
         snap = dataplane_counters.snapshot()
         assert snap["packets_sealed"] == 4
         assert snap["packets_opened"] == 8  # a and b each open every packet

@@ -1,38 +1,9 @@
-"""Tests for the batched data-plane paths: GOP broadcast, batched key
-fan-out, and the undecryptable-drop counter."""
+"""Tests for the batched key fan-out and the undecryptable-drop
+counter."""
 
 from repro.metrics.dataplane import counters as dataplane_counters
 
 from .test_peer import ticketed_peer, watching_peer
-
-
-class TestBroadcastPackets:
-    def test_batch_reaches_and_decrypts_everywhere(self, deployment):
-        overlay = deployment.overlay("free-ch")
-        a = watching_peer(deployment, "a@example.org", capacity=2)
-        b = ticketed_peer(deployment, "b@example.org", capacity=2)
-        overlay.join(b, [a.descriptor()], now=2.0)
-        # Return value counts the source's direct children (a); the
-        # cascade to b shows up in the decrypt counters below.
-        reached = overlay.source.broadcast_packets(3.0, 6)
-        assert reached == 6
-        assert a.client.packets_decrypted == 6
-        assert b.client.packets_decrypted == 6
-
-    def test_batch_equivalent_to_singles(self, deployment):
-        """A GOP broadcast delivers exactly what a per-packet loop does."""
-        overlay = deployment.overlay("free-ch")
-        a = watching_peer(deployment, "a@example.org", capacity=2)
-        batch_reached = overlay.source.broadcast_packets(3.0, 3)
-        single_reached = sum(overlay.source.broadcast_packet(3.0) for _ in range(3))
-        assert batch_reached == single_reached
-        assert a.client.packets_decrypted == 6
-
-    def test_empty_batch_is_noop(self, deployment):
-        overlay = deployment.overlay("free-ch")
-        watching_peer(deployment, "a@example.org")
-        assert overlay.source.broadcast_packets(3.0, 0) == 0
-        assert overlay.source.server.packets_emitted == 0
 
 
 class TestBatchedKeyFanout:

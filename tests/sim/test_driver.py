@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import exchange
 from repro.core.accounts import secure_hash_password
-from repro.core.protocol import Login1Response
+from repro.core.protocol import JoinAccept, Login1Response
 from repro.crypto.stream import SymmetricKey
 from repro.deployment import Deployment
 from repro.errors import CapacityError, DecryptionError, ProtocolError
@@ -204,6 +204,37 @@ class TestAsyncFullFlow:
         # Five messages-exchange rounds = five recorded samples total.
         total = sum(client.collector.count(r) for r in client.collector.rounds())
         assert total == 5
+
+    def test_join_hands_on_done_the_accept_with_its_key_updates(self, rig):
+        """Both drivers run ``join_script``; the async one still hands
+        ``on_done`` the ``JoinAccept`` -- whose keys now travel as the
+        ``KeyUpdate``s a push would send, lead window included."""
+        deployment, sim, network = rig
+        seeder = deployment.create_client("seed@example.org", "pw", region="CH")
+        seeder.login(now=0.0)
+        seed_peer = deployment.watch(seeder, "vt", now=0.0, capacity=4)
+        wire_peer(network, seed_peer)
+        client = make_async_client(deployment, network)
+        accepted = []
+
+        def after_login():
+            client.start_switch(
+                "rpc://cm", "vt", on_done=lambda _response: sim.schedule_at(55.0, join)
+            )
+
+        def join(_sim):
+            # t=55 is inside the lead window: the source pushes the
+            # next key to the seeder, which then holds two.
+            deployment.overlay("vt").source.tick(55.0)
+            client.start_join(f"peer://{seed_peer.peer_id}", on_done=accepted.append)
+
+        client.start_login("rpc://um", on_done=after_login)
+        sim.run()
+        (accept,) = accepted
+        assert isinstance(accept, JoinAccept) and not client.errors
+        assert [(u.serial, u.activate_at) for u in accept.key_updates] == [
+            (0, 0.0), (1, 60.0),
+        ]
 
     def test_policy_denial_travels_back(self, rig):
         deployment, sim, network = rig

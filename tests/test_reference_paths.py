@@ -11,7 +11,9 @@ were deleted under this rule must not come back.
 The same file guards the sibling rules: for ``Deployment``
 ("Construction and wiring") one construction site per manager kind,
 facilities attached only by the ``_wire_*`` functions; for the viewer's
-protocols ("One protocol script") requests built only by the scripts.
+protocols ("One protocol script") requests built only by the scripts;
+for the data plane ("One key hand-off") one process-spawning module, no
+``pool`` parameter, and one construction site per key message.
 """
 
 import ast
@@ -28,6 +30,13 @@ DELETED_NAMES = {
     "WallClockCostModel",
     "without_crt",
     "ticket_cache_size",
+    "CryptoPool",
+    "crypto_pool",
+    "enable_multicore",
+    "encrypt_many",
+    "emit_packets",
+    "broadcast_packets",
+    "current_content_key",
 }
 
 
@@ -103,7 +112,7 @@ MANAGER_CONSTRUCTORS = (
     "UserManager", "ChannelManager", "UserManager.recover", "ChannelManager.recover",
 )
 FACILITY_ATTRIBUTES = {
-    "tracer", "crypto_pool", "scorecard", "rate_limit_listener", "repair_selector",
+    "tracer", "scorecard", "rate_limit_listener", "repair_selector",
 }
 FACILITY_CALLS = {"set_join_rate_limit", "set_peer_list_provider", "install_router"}
 
@@ -175,7 +184,7 @@ def test_wiring_scan_catches_a_second_site_and_a_stray_attachment():
         "        self.tracer = tracer\n"                   # the field: fine
         "        self.redirection.tracer = tracer\n"       # stray (line 10)
         "    def _wire_manager(self, m):\n"
-        "        m.tracer = m.source.crypto_pool = self.tracer\n"
+        "        m.tracer = m.source.tracer = self.tracer\n"
         "        m.set_join_rate_limit(1, 2.0)\n"
     ))
     assert sites["UserManager"] == {"_build", "add_replicas"}
@@ -236,4 +245,80 @@ def test_request_scan_catches_a_second_client(tmp_path):
     )
     assert scan_request_construction(tmp_path) == [
         "repro/fork.py:4 Switch1Request", "repro/fork.py:5 Login1Request",
+    ]
+
+
+# ----------------------------------------------------------------------
+# One key hand-off (DESIGN.md, "One key hand-off"): the data plane has
+# one seal, one fan-out and one way for a content key to leave a parent
+# and enter a viewer.  Processes are spawned by the parallel storm
+# driver only, nothing takes a ``pool``, and the key message and the
+# key record are each built where the allow-list says -- so no second
+# install path can grow back beside ``decrypt_key_from_link``.
+# ----------------------------------------------------------------------
+
+MULTIPROCESSING_USERS = {"repro/parallel/driver.py"}
+# Its ``pool`` is an ``EndpointPool`` -- replica addresses, not processes.
+POOL_PARAMETER_OWNERS = {"repro/resilience/client.py"}
+KEY_CONSTRUCTORS = {
+    "KeyUpdate": {"repro/p2p/peer.py"},
+    "ContentKey": {"repro/core/keystream.py", "repro/core/packets.py"},
+}
+
+
+def scan_data_plane(root):
+    """``path:line what`` for every breach of the three rules above."""
+    stray = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{relative}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if relative not in MULTIPROCESSING_USERS and any(
+                module.split(".")[0] == "multiprocessing" for module in modules
+            ):
+                stray.append(f"{where} multiprocessing")
+            if isinstance(node, ast.arg) and node.arg == "pool":
+                if relative not in POOL_PARAMETER_OWNERS:
+                    stray.append(f"{where} pool=")
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in KEY_CONSTRUCTORS and relative not in KEY_CONSTRUCTORS[name]:
+                    stray.append(f"{where} {name}(")
+    return stray
+
+
+def test_data_plane_has_one_seal_one_fanout_one_handoff():
+    for relative in MULTIPROCESSING_USERS.union(
+        POOL_PARAMETER_OWNERS, *KEY_CONSTRUCTORS.values()
+    ):
+        assert (SRC / relative).is_file(), relative  # a rename must not hollow the lists
+    assert not scan_data_plane(SRC)
+
+
+def test_data_plane_scan_catches_each_violation(tmp_path):
+    (tmp_path / "repro" / "p2p").mkdir(parents=True)
+    (tmp_path / "repro" / "p2p" / "peer.py").write_text(
+        "def push(self, key):\n    return KeyUpdate(serial=key.serial)\n"  # fine
+    )
+    (tmp_path / "repro" / "offload.py").write_text(
+        "import multiprocessing.pool\n"
+        "from multiprocessing import get_context\n"
+        "def seal(frames, pool=None):\n"
+        "    return protocol.KeyUpdate(serial=0)\n"
+        "def install(self, material, *, pool):\n"
+        "    self.key_ring.offer(ContentKey(serial=0, key=material, activate_at=0.0))\n"
+    )
+    assert scan_data_plane(tmp_path) == [
+        "repro/offload.py:1 multiprocessing",
+        "repro/offload.py:2 multiprocessing",
+        "repro/offload.py:3 pool=",
+        "repro/offload.py:4 KeyUpdate(",
+        "repro/offload.py:5 pool=",
+        "repro/offload.py:6 ContentKey(",
     ]
