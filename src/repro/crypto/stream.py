@@ -24,12 +24,12 @@ vectorized end to end (DESIGN.md §11):
 
 * the keystream for ``(key, nonce)`` is ``SHAKE256(key || "|ctr|" ||
   nonce_8)`` squeezed to the message length in **one** C-level call;
-  the XOF state over the invariant ``key || "|ctr|"`` prefix is
-  absorbed once per key and ``.copy()``'d per message;
-* the HMAC-SHA256 key schedule is absorbed once per key and
-  ``.copy()``'d per tag;
-* the keystream XOR runs as a single wide-integer operation instead of
-  a per-byte generator.
+* the XOF prefix over ``key || "|ctr|"`` and the HMAC-SHA256 inner and
+  outer pads are absorbed once per key, held in one LRU entry, and
+  ``.copy()``'d per message -- a seal or open is one pass over C-level
+  ``hashlib`` states with no Python HMAC wrapper;
+* the keystream XOR runs as a single wide-integer (or numpy)
+  operation instead of a per-byte generator.
 
 :func:`reference_encrypt`/:func:`reference_decrypt` are a scalar
 implementation of the *same* construction (per-32-byte-block squeeze,
@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import DecryptionError, KeyFormatError
@@ -52,38 +52,22 @@ _KEY_LEN = 16  # 128-bit key, matching the paper's AES-128
 _TAG_LEN = 16  # truncated HMAC-SHA256 tag
 _BLOCK = 32  # keystream accounting unit (one SHA-256 output's worth)
 
-#: Cached per-key XOF/MAC states, keyed by key material.  Kept at
-#: module level (bounded LRU) rather than on the SymmetricKey instance
-#: so frozen keys stay trivially picklable/deep-copyable -- hashlib
-#: and hmac state objects are neither.
+#: One bounded LRU of per-key states, keyed by material and kept at
+#: module level so frozen keys stay picklable (hashlib states are not).
 _STATE_CACHE_MAX = 1024
-_prefix_states: "OrderedDict[bytes, object]" = OrderedDict()
-_mac_states: "OrderedDict[bytes, hmac.HMAC]" = OrderedDict()
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
 
 
-def _cached_state(cache: OrderedDict, key: bytes, build):
-    state = cache.get(key)
-    if state is None:
-        state = build()
-        cache[key] = state
-        if len(cache) > _STATE_CACHE_MAX:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return state
-
-
-def _prefix_state(key: bytes):
-    """XOF state over the per-key keystream prefix ``key || "|ctr|"``."""
-    return _cached_state(
-        _prefix_states, key, lambda: hashlib.shake_256(key + b"|ctr|")
-    )
-
-
-def _mac_state(key: bytes) -> "hmac.HMAC":
-    """HMAC-SHA256 state with the key schedule absorbed, body pending."""
-    return _cached_state(
-        _mac_states, key, lambda: hmac.new(key, digestmod=hashlib.sha256)
+@lru_cache(maxsize=_STATE_CACHE_MAX)
+def _key_states(material: bytes):
+    """The XOF over ``key || "|ctr|"`` and the HMAC-SHA256 inner/outer
+    pads (RFC 2104: a 16-byte key is zero-padded to the 64-byte block)."""
+    block = material.ljust(64, b"\0")
+    return (
+        hashlib.shake_256(material + b"|ctr|"),
+        hashlib.sha256(block.translate(_IPAD)),
+        hashlib.sha256(block.translate(_OPAD)),
     )
 
 
@@ -93,33 +77,26 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
 
-def _xor_bytes(data, stream: bytes) -> bytes:
-    """XOR two equal-length byte strings in one vectorized operation."""
-    if _np is not None and len(data) >= 256:
+def _keystream(key: bytes, nonce: int, length: int) -> bytes:
+    """The keystream for (key, nonce): the cipher's own XOR over zeros."""
+    prefix = _key_states(key)[0]
+    return _apply_keystream(prefix, nonce.to_bytes(8, "big"), bytes(length))
+
+
+def _apply_keystream(prefix, nonce_b: bytes, data) -> bytes:
+    """XOR ``data`` with the keystream of one (key, nonce) in one squeeze."""
+    length = len(data)
+    xof = prefix.copy()
+    xof.update(nonce_b)
+    dataplane_counters.keystream_blocks += -(-length // _BLOCK)
+    if _np is not None and length >= 256:
         return (
             _np.frombuffer(data, dtype=_np.uint8)
-            ^ _np.frombuffer(stream, dtype=_np.uint8)
+            ^ _np.frombuffer(xof.digest(length), dtype=_np.uint8)
         ).tobytes()
-    n = len(data)
     return (
-        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    ).to_bytes(n, "big")
-
-
-def _keystream(key: bytes, nonce: int, length: int) -> bytes:
-    """Derive ``length`` keystream bytes for (key, nonce).
-
-    The keystream is ``SHAKE256(key || "|ctr|" || nonce_8)`` squeezed
-    to ``length`` -- the invariant prefix state comes from the per-key
-    cache, so the per-message work is one ``.copy()``, one 8-byte
-    update, and a single C-level squeeze.
-    """
-    if length <= 0:
-        return b""
-    xof = _prefix_state(key).copy()
-    xof.update(nonce.to_bytes(8, "big", signed=False))
-    dataplane_counters.keystream_blocks += -(-length // _BLOCK)
-    return xof.digest(length)
+        int.from_bytes(data, "big") ^ int.from_bytes(xof.digest(length), "big")
+    ).to_bytes(length, "big")
 
 
 def _reference_keystream(key: bytes, nonce: int, length: int) -> bytes:
@@ -173,33 +150,38 @@ class SymmetricKey:
         """
         if nonce < 0:
             raise ValueError("nonce must be non-negative")
-        stream = _keystream(self.material, nonce, len(plaintext))
-        body = _xor_bytes(plaintext, stream)
-        tag = self._tag(body, nonce, aad)
-        return body + tag
+        prefix, inner, outer = _key_states(self.material)
+        nonce_b = nonce.to_bytes(8, "big")
+        body = _apply_keystream(prefix, nonce_b, plaintext)
+        mac = inner.copy()
+        mac.update(nonce_b + len(aad).to_bytes(4, "big") + aad)
+        mac.update(body)
+        tag = outer.copy()
+        tag.update(mac.digest())
+        return body + tag.digest()[:_TAG_LEN]
 
     def decrypt(self, ciphertext, nonce: int, aad: bytes = b"") -> bytes:
         """Verify the tag and decrypt; raise :class:`DecryptionError` on tamper.
 
         Accepts any bytes-like buffer; the body/tag split is done over
         a :class:`memoryview` so opening a wire-decoded packet never
-        copies the ciphertext.
+        copies the ciphertext.  The tag is checked before any
+        keystream is drawn.
         """
         if len(ciphertext) < _TAG_LEN:
             raise DecryptionError("ciphertext shorter than tag")
+        prefix, inner, outer = _key_states(self.material)
+        nonce_b = nonce.to_bytes(8, "big")
         view = memoryview(ciphertext)
-        body, tag = view[:-_TAG_LEN], view[-_TAG_LEN:]
-        expected = self._tag(body, nonce, aad)
-        if not hmac.compare_digest(tag, expected):
-            raise DecryptionError("integrity tag mismatch")
-        stream = _keystream(self.material, nonce, len(body))
-        return _xor_bytes(body, stream)
-
-    def _tag(self, body, nonce: int, aad: bytes) -> bytes:
-        mac = _mac_state(self.material).copy()
-        mac.update(nonce.to_bytes(8, "big") + len(aad).to_bytes(4, "big") + aad)
+        body = view[:-_TAG_LEN]
+        mac = inner.copy()
+        mac.update(nonce_b + len(aad).to_bytes(4, "big") + aad)
         mac.update(body)
-        return mac.digest()[:_TAG_LEN]
+        tag = outer.copy()
+        tag.update(mac.digest())
+        if not hmac.compare_digest(view[-_TAG_LEN:], tag.digest()[:_TAG_LEN]):
+            raise DecryptionError("integrity tag mismatch")
+        return _apply_keystream(prefix, nonce_b, body)
 
     def fingerprint(self) -> str:
         """Short identifier safe for logs (does not reveal the key).

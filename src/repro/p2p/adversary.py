@@ -142,7 +142,7 @@ class AdversarialPeer(Peer):
 
     # -- data-plane pollution -------------------------------------------
 
-    def forward_packet(self, packet: ContentPacket, substream_count: int = 1) -> int:
+    def _packet_for_children(self, packet: ContentPacket) -> ContentPacket:
         if self._active and self.config.tamper_packets > 0.0:
             if self._drbg.fork(
                 b"tamper" + packet.sequence.to_bytes(8, "big")
@@ -153,51 +153,45 @@ class AdversarialPeer(Peer):
                 self.injection_log.append(
                     ("tamper", f"{bad.serial}:{bad.sequence}")
                 )
-                return super().forward_packet(bad, substream_count)
-        return super().forward_packet(packet, substream_count)
+                return bad
+        return packet
 
-    def deliver_packet(self, packet, substream_count=1, from_peer=None) -> None:
-        # An adversary never *reports* anyone (it has no standing in
-        # the detection plane) but otherwise consumes normally.
-        scorecard, self.scorecard = self.scorecard, None
-        try:
-            super().deliver_packet(packet, substream_count, from_peer=from_peer)
-        finally:
-            self.scorecard = scorecard
+    def _attribute_bad_packet(self, packet, from_peer) -> None:
+        """An adversary never *reports* anyone (it has no standing in
+        the detection plane) but otherwise consumes normally."""
 
     # -- key-plane misbehavior ------------------------------------------
 
-    def _push_key_to_children(self, content_key: ContentKey, now: float) -> int:
+    def _keys_for_children(self, content_key: ContentKey, now: float) -> List[ContentKey]:
         self._note_time(now)
         if not self._active:
-            return super()._push_key_to_children(content_key, now)
+            return [content_key]
         if self.config.withhold_keys:
             self.injection_log.append(("withhold", str(content_key.serial)))
-            return 0
+            return []
         if self.config.replay_keys:
             # Honest pass-through first (children keep playing -- the
             # attack is the stale injection, not starvation), then the
             # stalest key ever cached rides along as a replay.
-            sent = super()._push_key_to_children(content_key, now)
+            keys = [content_key]
             if self._replay_cache:
                 stale = self._replay_cache[0]
                 self.injection_log.append(("replay", str(stale.serial)))
-                sent += super()._push_key_to_children(stale, now)
+                keys.append(stale)
             self._replay_cache.append(content_key)
-            return sent
+            return keys
         if self.config.stale_keys:
             serials = self.client.key_ring.serials()
             if serials:
                 stale = self.client.key_ring.get(serials[0])
                 if stale.serial != content_key.serial:
                     self.injection_log.append(("stale", str(stale.serial)))
-                    return super()._push_key_to_children(stale, now)
-            return super()._push_key_to_children(content_key, now)
-        return super()._push_key_to_children(content_key, now)
+                    return [stale]
+        return [content_key]
 
-    def receive_key_update(self, update: KeyUpdate, parent: Peer, now: float) -> int:
+    def _receive_key(self, update: KeyUpdate, parent: Peer, now: float):
         self._note_time(now)
-        return super().receive_key_update(update, parent, now)
+        return super()._receive_key(update, parent, now)
 
 
 class MisbehavingKeySender(ReliableKeySender):

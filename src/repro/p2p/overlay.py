@@ -90,10 +90,12 @@ class SourcePeer(Peer):
         """Rotate/push keys that have entered their distribution window.
 
         Returns the number of link messages generated.  Idempotent per
-        serial: each key is pushed once.
+        serial: each key is pushed once; only live keys keep a marker.
         """
         sent = 0
-        for content_key in self.server.keys_for_join(now):
+        keys = self.server.keys_for_join(now)
+        self._pushed_serials &= {(key.serial, key.activate_at) for key in keys}
+        for content_key in keys:
             marker = (content_key.serial, content_key.activate_at)
             if marker in self._pushed_serials:
                 continue

@@ -16,7 +16,7 @@ enforcement point for the one-location-per-account rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.client import Client
@@ -304,85 +304,99 @@ class Peer:
     def push_key_to_children(self, content_key: ContentKey, now: float) -> int:
         """Re-encrypt and push one content key to every child.
 
-        Returns the number of link messages sent.  Propagation is
-        recursive: each child peer that newly learns the key pushes it
-        to its own children, exactly the A->B->{D,E} cascade of the
-        paper's example.
+        Returns the number of link messages sent, including the cascade
+        through every child that newly learns the key -- exactly the
+        A->B->{D,E} cascade of the paper's example.
         """
         with maybe_span(
             self.tracer, "KEYPUSH", now=now, kind="push",
             peer=self.peer_id, serial=content_key.serial,
         ) as span:
-            sent = self._push_key_to_children(content_key, now)
+            sent = self.push_key_update(content_key, now)
             if span is not None:
                 span.annotate("sent", sent)
             return sent
 
-    def _push_key_to_children(self, content_key: ContentKey, now: float) -> int:
-        return self.push_key_update(content_key, now)
-
     def push_key_update(self, content_key: ContentKey, now: float) -> int:
-        """Batched fan-out: one key, every child, invariants built once.
+        """Push one key through the whole subtree; returns link messages sent.
 
-        The parts of the per-child sealing that do not vary -- the AAD,
-        nonce and key-material plaintext inside
-        :func:`reencrypt_key_for_links` -- are prepared once for the
-        whole batch; the per-child work is exactly one session-key
-        encryption and one :class:`KeyUpdate` construction.  Returns
-        the number of link messages sent (including the recursive
-        cascade through children that newly learned the key).
+        A preorder worklist, so depth costs no Python stack: each frame
+        is one sender's fan-out, and a child that learns the key pushes
+        its own frame on top.  A child whose receive step fails (a stale
+        link) is counted and severed after its sender's loop.
         """
-        links = list(self.children.values())
-        if not links:
-            return 0
-        blobs = reencrypt_key_for_links(
-            content_key,
-            (link.session_key for link in links),
-            self.channel_id,
-        )
-        self.key_updates_sent += len(links)
-        dataplane_counters.fanout_messages += len(links)
-        dataplane_counters.fanout_batches += 1
-        sent = len(links)
-        for link, blob in zip(links, blobs):
-            if link.child_peer is None:
-                continue
-            sent += link.child_peer.receive_key_update(
-                self._key_update(content_key, blob), parent=self, now=now
-            )
+        sent = 0
+        stack = [(self, self._key_messages(content_key, now), [])]
+        while stack:
+            sender, messages, failed = stack[-1]
+            for link, update in messages:
+                sent += 1
+                child = link.child_peer
+                if child is None:
+                    continue
+                try:
+                    fresh = child._receive_key(update, sender, now)
+                except ReproError:
+                    dataplane_counters.fanout_child_errors += 1
+                    failed.append(link.user_id)
+                    continue
+                if fresh is not None:
+                    stack.append((child, child._key_messages(fresh, now), []))
+                    break
+            else:
+                stack.pop()
+                for user_id in failed:
+                    sender.sever_child(user_id)
         return sent
+
+    def _keys_for_children(self, content_key: ContentKey, now: float) -> List[ContentKey]:
+        """The keys this peer hands its children for a fresh one."""
+        return [content_key]
+
+    def _key_messages(self, content_key: ContentKey, now: float):
+        """Yield ``(link, KeyUpdate)`` for every link and every key handed
+        on, sealing each key's links only once the walk reaches it."""
+        for key in self._keys_for_children(content_key, now):
+            links = list(self.children.values())
+            if not links:
+                return
+            sessions = (link.session_key for link in links)
+            blobs = reencrypt_key_for_links(key, sessions, self.channel_id)
+            self.key_updates_sent += len(links)
+            dataplane_counters.fanout_messages += len(links)
+            dataplane_counters.fanout_batches += 1
+            for link, blob in zip(links, blobs):
+                yield link, self._key_update(key, blob)
 
     def receive_key_update(self, update: KeyUpdate, parent: "Peer", now: float) -> int:
         """Decrypt a pushed key; if new, cascade to our children."""
+        fresh = self._receive_key(update, parent, now)
+        return 0 if fresh is None else self.push_key_update(fresh, now)
+
+    def _receive_key(self, update: KeyUpdate, parent: "Peer", now: float):
+        """One hop of the key cascade: the key if it is fresh, else None."""
         with maybe_span(
             self.tracer, "KEYPUSH.recv", now=now, kind="push",
             peer=self.peer_id, serial=update.serial,
         ) as span:
             try:
-                fresh = self.client.receive_key_update(
-                    update, parent_id=parent.peer_id
-                )
+                fresh = self.client.receive_key_update(update, parent_id=parent.peer_id)
             except ReplayError:
-                # The parent pushed a key older than the replay window:
-                # either it is far behind the stream (useless as a
-                # parent) or it is mounting a replay attack.  Both are
-                # reasons to route around it.
+                # Older than the replay window: the parent is far behind
+                # the stream or replaying -- either way, route around it.
                 if span is not None:
                     span.annotate("replay_rejected", True)
                 if self.scorecard is not None:
                     self.scorecard.report(parent.peer_id, REPLAY, now=now)
-                return 0
-            # Heartbeat: the update carries the sender's depth, so our
-            # own depth refreshes once per key epoch instead of only at
-            # join time.  (AdversarialPeer overrides this to keep its
-            # advertised lie.)
+                return None
+            # Heartbeat: the update carries the sender's depth, so ours
+            # refreshes once per key epoch (AdversarialPeer keeps its lie).
             self._adopt_heartbeat_depth(update)
             if not fresh:
                 if span is not None:
                     span.annotate("duplicate", True)
-                return 0
-            content_key = self.client.key_ring.get(update.serial)
-            return self._push_key_to_children(content_key, now)
+                return None
+            return self.client.key_ring.get(update.serial)
 
     def _adopt_heartbeat_depth(self, update: KeyUpdate) -> None:
         if update.parent_depth >= 0:
@@ -393,24 +407,39 @@ class Peer:
     # ------------------------------------------------------------------
 
     def forward_packet(self, packet: ContentPacket, substream_count: int = 1) -> int:
-        """Forward a packet to children subscribed to its sub-stream.
+        """Forward a packet through the whole subtree on its sub-stream.
 
         Packets travel unmodified (end-to-end encrypted by the Channel
-        Server).  Returns the number of children reached.
+        Server).  The walk is a preorder worklist of per-sender child
+        iterators; a child that cannot decrypt stops it on its branch.
+        Returns the number of this peer's own children reached.
         """
-        assignment = SubstreamAssignment(substream_count)
-        substream = assignment.substream_of(packet.sequence)
-        reached = 0
-        for link in self.children.values():
-            if link.substreams is not None and substream not in link.substreams:
-                continue
-            if link.child_peer is None:
-                continue
-            self.packets_forwarded += 1
-            dataplane_counters.packets_forwarded += 1
-            reached += 1
-            link.child_peer.deliver_packet(packet, substream_count, from_peer=self)
-        return reached
+        substream = SubstreamAssignment(substream_count).substream_of(packet.sequence)
+        forwarded = self.packets_forwarded
+        stack = [(self, self._packet_for_children(packet), iter(self.children.values()))]
+        while stack:
+            sender, outgoing, links = stack[-1]
+            for link in links:
+                child = link.child_peer
+                if child is None or (
+                    link.substreams is not None and substream not in link.substreams
+                ):
+                    continue
+                sender.packets_forwarded += 1
+                dataplane_counters.packets_forwarded += 1
+                if child._receive_packet(outgoing, sender):
+                    # Leaves too: a tampering hook logs every decision.
+                    onward = child._packet_for_children(outgoing)
+                    if child.children:
+                        stack.append((child, onward, iter(child.children.values())))
+                        break
+            else:
+                stack.pop()
+        return self.packets_forwarded - forwarded
+
+    def _packet_for_children(self, packet: ContentPacket) -> ContentPacket:
+        """The packet this peer hands its children: verbatim."""
+        return packet
 
     def deliver_packet(
         self,
@@ -419,6 +448,11 @@ class Peer:
         from_peer: Optional["Peer"] = None,
     ) -> None:
         """Receive a packet: decrypt for local playback, then forward."""
+        if self._receive_packet(packet, from_peer):
+            self.forward_packet(packet, substream_count)
+
+    def _receive_packet(self, packet: ContentPacket, sender: Optional["Peer"]) -> bool:
+        """One hop of the forward path: True when the packet decrypted."""
         try:
             self.client.receive_packet(packet)
         except ReproError:
@@ -428,9 +462,9 @@ class Peer:
             # events become observable in ``Deployment.metrics``.
             self.packets_dropped_undecryptable += 1
             dataplane_counters.packets_dropped_undecryptable += 1
-            self._attribute_bad_packet(packet, from_peer)
-            return
-        self.forward_packet(packet, substream_count)
+            self._attribute_bad_packet(packet, sender)
+            return False
+        return True
 
     def _attribute_bad_packet(
         self, packet: ContentPacket, from_peer: Optional["Peer"]

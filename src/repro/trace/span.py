@@ -24,9 +24,9 @@ the handler call is enough to parent everything the handler does.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, ContextManager, Dict, Iterator, List, Optional
 
 from repro.errors import ReproError
 
@@ -305,21 +305,23 @@ def load_spans(path: str) -> List[Span]:
     return spans
 
 
-@contextmanager
+#: The one shared no-op context :func:`maybe_span` returns untraced.
+_NO_SPAN = nullcontext()
+
+
 def maybe_span(
     tracer: Optional[Tracer],
     name: str,
     now: Optional[float] = None,
     kind: str = "span",
     **annotations: Any,
-) -> Iterator[Optional[Span]]:
+) -> ContextManager[Optional[Span]]:
     """A span when tracing is on, a no-op when it is off.
 
     Instrumented components hold ``self.tracer = None`` by default, so
-    the untraced hot path costs one ``None`` check.
+    the untraced hot path costs one ``None`` check: every untraced call
+    returns the same shared context, which yields ``None``.
     """
     if tracer is None:
-        yield None
-        return
-    with tracer.span(name, now=now, kind=kind, **annotations) as opened:
-        yield opened
+        return _NO_SPAN
+    return tracer.span(name, now=now, kind=kind, **annotations)
