@@ -12,11 +12,10 @@
   N clients, versus the P2P push's per-link constant cost.
 """
 
-from repro.baselines.traditional import LicenseManager, TraditionalDrmSimulation
+from repro.baselines.traditional import TraditionalDrmSimulation
 from repro.baselines.central_keyserver import CentralKeyServer, KeyDistributionComparison
 
 __all__ = [
-    "LicenseManager",
     "TraditionalDrmSimulation",
     "CentralKeyServer",
     "KeyDistributionComparison",

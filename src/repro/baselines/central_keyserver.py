@@ -143,22 +143,3 @@ class KeyDistributionComparison:
         """One synchronized fetch storm at the central server."""
         server = CentralKeyServer(n_servers=n_servers)
         return server.rekey_storm(self._rng, clients)
-
-    def crossover_audience(self, n_servers: int, sla: float = 1.0) -> int:
-        """Audience size where the central server's p99 wait breaks the SLA.
-
-        Binary search over audience size; the P2P push never breaks it
-        (its propagation depends on depth ~ log N).
-        """
-        low, high = 1, 2
-        while self.central_fetch(high, n_servers).p99_wait <= sla:
-            high *= 2
-            if high >= 2**20:
-                return high
-        while low < high:
-            mid = (low + high) // 2
-            if self.central_fetch(mid, n_servers).p99_wait <= sla:
-                low = mid + 1
-            else:
-                high = mid
-        return low

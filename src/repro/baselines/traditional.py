@@ -1,4 +1,4 @@
-"""Traditional per-file DRM baseline: the License Manager.
+"""Traditional per-file DRM baseline: License Manager provisioning.
 
 Section I: "In traditional DRM, each client is required to acquire a
 separate playback license for each file.  The acquisition of playback
@@ -8,8 +8,6 @@ audience's license acquisitions into the event's first moments, so the
 License Manager must be provisioned for the flash-crowd peak, not the
 average.
 
-:class:`LicenseManager` is a functional license server (issue /
-validate, per-device limits, playback counts), and
 :class:`TraditionalDrmSimulation` runs a flash crowd through a
 License Manager service station to measure the queueing delay a given
 provisioning level produces -- the baseline curve for ablation A3.
@@ -18,116 +16,11 @@ provisioning level produces -- the baseline curve for ablation A3.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List
 
-from repro.crypto.drbg import HmacDrbg
-from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
-from repro.errors import AuthorizationError, SignatureError
 from repro.sim.engine import Simulator
 from repro.sim.station import ServiceStation
-from repro.util.wire import Encoder
-
-
-@dataclass(frozen=True)
-class License:
-    """A per-file playback license.
-
-    Carries the decryption key for exactly one file, bound to one
-    device, with a playback-count limit -- the archival-content model
-    the paper contrasts with event licensing.
-    """
-
-    file_id: str
-    device_id: str
-    content_key: bytes
-    max_playbacks: int
-    issued_at: float
-    signature: bytes = b""
-
-    def body_bytes(self) -> bytes:
-        enc = Encoder()
-        enc.put_str(self.file_id)
-        enc.put_str(self.device_id)
-        enc.put_bytes(self.content_key)
-        enc.put_u32(self.max_playbacks)
-        enc.put_f64(self.issued_at)
-        return enc.to_bytes()
-
-
-class LicenseManager:
-    """A centralized license server for file-granularity DRM."""
-
-    def __init__(
-        self,
-        signing_key: RsaPrivateKey,
-        drbg: HmacDrbg,
-        max_devices_per_user: int = 3,
-        default_max_playbacks: int = 5,
-    ) -> None:
-        self._key = signing_key
-        self._drbg = drbg
-        self.max_devices_per_user = max_devices_per_user
-        self.default_max_playbacks = default_max_playbacks
-        self._file_keys: Dict[str, bytes] = {}
-        self._entitlements: Dict[Tuple[str, str], bool] = {}
-        self._user_devices: Dict[str, set] = {}
-        self._playbacks: Dict[Tuple[str, str], int] = {}
-        self.licenses_issued = 0
-
-    @property
-    def public_key(self) -> RsaPublicKey:
-        return self._key.public_key
-
-    def publish_file(self, file_id: str) -> None:
-        """Register a protected file (mints its content key)."""
-        self._file_keys[file_id] = self._drbg.generate(16)
-
-    def entitle(self, user: str, file_id: str) -> None:
-        """Record that a user purchased/earned access to a file."""
-        if file_id not in self._file_keys:
-            raise AuthorizationError(f"unknown file: {file_id}")
-        self._entitlements[(user, file_id)] = True
-
-    def acquire_license(self, user: str, device_id: str, file_id: str, now: float) -> License:
-        """The playback-time license acquisition."""
-        key = self._file_keys.get(file_id)
-        if key is None:
-            raise AuthorizationError(f"unknown file: {file_id}")
-        if not self._entitlements.get((user, file_id)):
-            raise AuthorizationError(f"user {user} not entitled to {file_id}")
-        devices = self._user_devices.setdefault(user, set())
-        if device_id not in devices:
-            if len(devices) >= self.max_devices_per_user:
-                raise AuthorizationError(
-                    f"user {user} exceeded device limit {self.max_devices_per_user}"
-                )
-            devices.add(device_id)
-        license_ = License(
-            file_id=file_id,
-            device_id=device_id,
-            content_key=key,
-            max_playbacks=self.default_max_playbacks,
-            issued_at=now,
-        )
-        license_ = License(
-            **{**license_.__dict__, "signature": self._key.sign(license_.body_bytes())}
-        )
-        self.licenses_issued += 1
-        return license_
-
-    def record_playback(self, user: str, license_: License) -> int:
-        """Count one playback; raises when the limit is exhausted."""
-        try:
-            self.public_key.verify(license_.body_bytes(), license_.signature)
-        except SignatureError:
-            raise AuthorizationError("license signature invalid")
-        key = (user, license_.file_id)
-        count = self._playbacks.get(key, 0)
-        if count >= license_.max_playbacks:
-            raise AuthorizationError("playback limit reached")
-        self._playbacks[key] = count + 1
-        return count + 1
 
 
 @dataclass

@@ -495,10 +495,9 @@ def _cmd_overlay(args: argparse.Namespace) -> int:
 
 
 def _cmd_threats(args: argparse.Namespace) -> int:
-    # Delegate to the narrated playbook example logic.
-    import examples.threat_playbook as playbook  # type: ignore
+    from repro.threats import main as playbook
 
-    playbook.main()
+    playbook()
     return 0
 
 

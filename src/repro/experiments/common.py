@@ -86,12 +86,6 @@ class WeeklongConfig:
     peer_list_size: int = 8
     #: Feedback-log sampling probability (the measurement methodology).
     feedback_prob: float = 1.0
-    #: Scheduled live events mixed into the week (0 = diurnal only).
-    #: Each contributes a prime-time flash crowd of ``event_audience``
-    #: extra sessions -- the paper's correlated-arrival premise made
-    #: explicit.  The flat-latency result must survive these spikes.
-    live_events: int = 0
-    event_audience: int = 0
 
     @classmethod
     def fast(cls) -> "WeeklongConfig":

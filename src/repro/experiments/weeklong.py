@@ -63,13 +63,6 @@ class WeeklongResult:
             round_name, self.trace.concurrent_at, min_samples_per_bin=min_samples
         )
 
-    def correlations(self, min_samples: int = 1) -> Dict[str, float]:
-        """All five rounds' correlations (the paper's headline numbers)."""
-        return {
-            name: self.correlation(name, min_samples)
-            for name in ("LOGIN1", "LOGIN2", "SWITCH1", "SWITCH2", "JOIN")
-        }
-
 
 class WeeklongRunner:
     """Runs the simulated measurement week."""
@@ -99,20 +92,6 @@ class WeeklongRunner:
             user_ticket_lifetime=config.user_ticket_lifetime,
             channel_ticket_lifetime=config.channel_ticket_lifetime,
         ).generate()
-        if config.live_events > 0 and config.event_audience > 0:
-            from repro.workload.events import overlay_events_on_trace, prime_time_schedule
-
-            event_rng = random.Random(config.seed + 5)
-            schedule = prime_time_schedule(
-                event_rng,
-                n_events=config.live_events,
-                audience_per_event=config.event_audience,
-                horizon=config.horizon,
-            )
-            trace = overlay_events_on_trace(
-                trace, schedule, event_rng,
-                channel_ticket_lifetime=config.channel_ticket_lifetime,
-            )
 
         sim = Simulator()
         latency_model = LatencyModel(

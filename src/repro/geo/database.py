@@ -99,15 +99,6 @@ class GeoDatabase:
         record = self.lookup(address)
         return record.region if record else None
 
-    def asn_of(self, address: str) -> int:
-        """Convenience: AS number only; 0 for unallocated addresses.
-
-        0 is the peer-selection "unknown AS" sentinel -- a ranked peer
-        list never treats two unallocated addresses as same-AS.
-        """
-        record = self.lookup(address)
-        return record.asn if record else 0
-
     def random_address(self, region: str, rng: random.Random) -> str:
         """Mint a random address that resolves to ``region``.
 

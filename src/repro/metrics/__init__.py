@@ -4,8 +4,8 @@
   Pearson product-moment correlation the paper reports;
 * :mod:`repro.metrics.collector` -- timestamped latency samples binned
   by protocol round and by hour, plus peak/off-peak splits;
-* :mod:`repro.metrics.reporting` -- plain-text tables and figure
-  series shaped like the paper's plots;
+* :mod:`repro.metrics.reporting` -- plain-text tables and sparklines
+  shaped like the paper's plots;
 * :mod:`repro.metrics.hotpath` -- counters for the ticket pipeline's
   fast paths (CRT signing, the verification cache, compiled policy
   indexes);
@@ -19,7 +19,6 @@ from repro.metrics.stats import (
     median,
     percentile,
     pearson_correlation,
-    cdf_points,
 )
 from repro.metrics.collector import LatencyCollector, HourlyBin
 from repro.metrics.dataplane import DataplaneCounters, counters as dataplane_counters
@@ -30,7 +29,6 @@ __all__ = [
     "median",
     "percentile",
     "pearson_correlation",
-    "cdf_points",
     "LatencyCollector",
     "HourlyBin",
     "DataplaneCounters",

@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.metrics.stats import cdf_points, median, pearson_correlation
+from repro.metrics.stats import median, pearson_correlation
 from repro.workload.diurnal import is_peak_hour
 
 
@@ -88,13 +88,6 @@ class LatencyCollector:
             bucket.latencies.append(latency)
         return [buckets[i] for i in sorted(buckets)]
 
-    def hourly_median_series(self, round_name: str) -> List[Tuple[float, float]]:
-        """(bin start time, median latency) per non-empty hour."""
-        return [
-            (b.hour_index * self.bin_seconds, b.median_latency)
-            for b in self.hourly_bins(round_name)
-        ]
-
     def correlation_with_load(
         self,
         round_name: str,
@@ -121,7 +114,7 @@ class LatencyCollector:
         return pearson_correlation(loads, medians)
 
     # ------------------------------------------------------------------
-    # Fig. 6 shape: peak vs off-peak CDFs
+    # Fig. 6 shape: peak vs off-peak populations
     # ------------------------------------------------------------------
 
     def split_peak_offpeak(self, round_name: str) -> "tuple[List[float], List[float]]":
@@ -135,10 +128,3 @@ class LatencyCollector:
             else:
                 off_peak.append(latency)
         return peak, off_peak
-
-    def peak_offpeak_cdfs(
-        self, round_name: str
-    ) -> "tuple[List[Tuple[float, float]], List[Tuple[float, float]]]":
-        """Empirical CDFs for the two populations."""
-        peak, off_peak = self.split_peak_offpeak(round_name)
-        return cdf_points(peak), cdf_points(off_peak)

@@ -8,8 +8,8 @@ log get before compaction?", "how fast does replay run?") are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass
@@ -44,33 +44,3 @@ class StoreStats:
         self.records_replayed = records
         self.recovery_seconds = seconds
 
-
-def format_durability_report(stores: Dict[str, "object"]) -> str:
-    """Plain-text table over named stores (values: DurableStore).
-
-    Imported lazily by callers that hold stores; typed loosely to keep
-    metrics free of a dependency on the store package.
-    """
-    from repro.metrics.reporting import format_table
-
-    rows: List[Tuple] = []
-    for name in sorted(stores):
-        store = stores[name]
-        stats = store.stats
-        replay = stats.replay_records_per_sec
-        rows.append(
-            (
-                name,
-                store.record_count(),
-                store.wal_bytes(),
-                stats.snapshots_written,
-                stats.records_replayed,
-                f"{stats.recovery_seconds * 1000:.1f}" if stats.recovery_seconds else "-",
-                f"{replay:.0f}" if replay else "-",
-            )
-        )
-    return format_table(
-        ["store", "wal records", "wal bytes", "snapshots",
-         "replayed", "recovery (ms)", "replay rec/s"],
-        rows,
-    )

@@ -2,11 +2,10 @@
 
 The hot-path counters, the durability stores, the reliable links, and
 the tracer each keep their own statistics.  The registry gives them one
-front door: a source registers under a name, ``snapshot()`` resolves
-every source to a flat ``{metric: value}`` mapping, and ``report()``
-renders the whole lot as one table.  Sources stay live -- the registry
-holds references, not copies -- so a snapshot always reflects current
-values.
+front door: a source registers under a name, and ``snapshot()``
+resolves every source to a flat ``{metric: value}`` mapping.  Sources
+stay live -- the registry holds references, not copies -- so a snapshot
+always reflects current values.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Any, Callable, Dict, Mapping
 
 from repro.metrics.dataplane import counters as _dataplane_counters
 from repro.metrics.hotpath import counters as _hotpath_counters
-from repro.metrics.reporting import format_table
 from repro.metrics.selection import counters as _selection_counters
 
 
@@ -65,14 +63,6 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Resolve every source to ``{source: {metric: value}}``."""
         return {name: self._resolve(src) for name, src in sorted(self._sources.items())}
-
-    def report(self) -> str:
-        """One aligned table over every registered source."""
-        rows = []
-        for name, metrics in self.snapshot().items():
-            for metric, value in metrics.items():
-                rows.append((name, metric, value))
-        return format_table(["source", "metric", "value"], rows)
 
 
 #: Process-wide default registry; the hot-path and data-plane

@@ -1,12 +1,12 @@
 """Plain-text report rendering for benches and examples.
 
-Benchmarks print the same rows/series the paper's figures show; these
-helpers keep that formatting in one place.
+Benchmarks print the same rows the paper's figures show; these helpers
+keep that formatting in one place.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -19,16 +19,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     lines.append("  ".join("-" * w for w in widths))
     for row in rows:
         lines.append("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def format_series(
-    title: str, series: Sequence[Tuple[float, float]], x_label: str, y_label: str
-) -> str:
-    """Render a (x, y) series as a labelled two-column listing."""
-    lines = [title, f"{x_label}\t{y_label}"]
-    for x, y in series:
-        lines.append(f"{x:.3f}\t{y:.4f}")
     return "\n".join(lines)
 
 
@@ -47,21 +37,3 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
         for v in sampled
     )
 
-
-def cdf_summary(
-    label: str, cdf: Sequence[Tuple[float, float]], probes: Sequence[float] = (0.5, 0.8, 0.9, 0.95, 0.99)
-) -> List[Tuple[str, float, float]]:
-    """Rows (label, quantile, value) at standard CDF probe points."""
-    rows = []
-    for probe in probes:
-        value = _quantile_from_cdf(cdf, probe)
-        rows.append((label, probe, value))
-    return rows
-
-
-def _quantile_from_cdf(cdf: Sequence[Tuple[float, float]], q: float) -> float:
-    """First x whose cumulative fraction reaches q."""
-    for value, fraction in cdf:
-        if fraction >= q:
-            return value
-    return cdf[-1][0] if cdf else float("nan")

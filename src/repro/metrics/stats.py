@@ -10,7 +10,7 @@ and is 0.13 for join protocol", Section VI).
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 
 def median(values: Sequence[float]) -> float:
@@ -70,15 +70,6 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
     if var_x == 0.0 or var_y == 0.0:
         return 0.0
     return cov / math.sqrt(var_x * var_y)
-
-
-def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """Empirical CDF as (value, cumulative-fraction) steps."""
-    if not values:
-        return []
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
 
 
 def cdf_at(values: Sequence[float], threshold: float) -> float:

@@ -770,23 +770,28 @@ class ChannelOverlay:
         unreachable = [pid for pid in self.peers if pid not in visited]
         if unreachable:
             raise OverlayError(f"peers unreachable from source: {unreachable}")
-        # Cycle check: depth-first from source with a recursion marker.
-        in_progress: set = set()
-        done: set = set()
-
-        def visit(node: Peer) -> None:
-            if node.peer_id in done:
-                return
-            if node.peer_id in in_progress:
-                raise OverlayError(f"cycle through {node.peer_id}")
-            in_progress.add(node.peer_id)
-            for link in node.children.values():
-                if link.child_peer is not None:
-                    visit(link.child_peer)
-            in_progress.discard(node.peer_id)
-            done.add(node.peer_id)
-
-        visit(self.source)
+        # Cycle check: colour-marking depth-first search over an explicit
+        # stack of child iterators, so a chain of any depth is checked.
+        # Grey peers are on the current path; a link back to one closes
+        # a cycle.  Black peers are finished.
+        grey = {self.source.peer_id}
+        black: set = set()
+        path = [(self.source, iter(self.source.children.values()))]
+        while path:
+            node, links = path[-1]
+            for link in links:
+                child = link.child_peer
+                if child is None or child.peer_id in black:
+                    continue
+                if child.peer_id in grey:
+                    raise OverlayError(f"cycle through {child.peer_id}")
+                grey.add(child.peer_id)
+                path.append((child, iter(child.children.values())))
+                break
+            else:
+                path.pop()
+                grey.discard(node.peer_id)
+                black.add(node.peer_id)
 
     def depths(self) -> Dict[str, int]:
         """Hop distance of every reachable peer from the source."""

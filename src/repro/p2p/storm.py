@@ -389,17 +389,3 @@ def run_overlay_storm(config: OverlayStormConfig) -> OverlayStormResult:
         result.mean_depth = sum(depths.values()) / len(depths)
         result.max_depth = max(depths.values())
     return result
-
-
-def run_storm_comparison(
-    base: Optional[OverlayStormConfig] = None,
-) -> Dict[str, OverlayStormResult]:
-    """Run the ranked and uniform arms of the same storm (same seed,
-    same audience) and return both results keyed by sampler name."""
-    from dataclasses import replace
-
-    base = base or OverlayStormConfig()
-    return {
-        "ranked": run_overlay_storm(replace(base, sampler="ranked")),
-        "uniform": run_overlay_storm(replace(base, sampler="uniform")),
-    }

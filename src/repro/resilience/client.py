@@ -111,15 +111,6 @@ class ResilientAsyncClient(AsyncClient):
     def degraded(self) -> bool:
         return self._degraded_since is not None
 
-    def playback_active(self, now: float) -> bool:
-        """Is the viewer decrypting right now?
-
-        True while a Channel Ticket is held and unexpired -- including
-        degraded mode, where the CM is unreachable but the ticket (and
-        the overlay's key feed) keep playback alive.
-        """
-        return self.channel_ticket is not None and now <= self.channel_ticket.expire_time
-
     # ------------------------------------------------------------------
     # The retry/failover engine
     # ------------------------------------------------------------------

@@ -617,10 +617,6 @@ def run_scenario(name: str, config: Optional[ChaosConfig] = None) -> ScenarioRes
     return scenario(config)
 
 
-def run_all(config: Optional[ChaosConfig] = None) -> List[ScenarioResult]:
-    return [scenario(config) for scenario in SCENARIOS.values()]
-
-
 # ----------------------------------------------------------------------
 # Reporting
 # ----------------------------------------------------------------------

@@ -258,19 +258,6 @@ class Tracer:
     # inspection and persistence
     # ------------------------------------------------------------------
 
-    def traces(self) -> Dict[int, List[Span]]:
-        """Spans grouped by trace id, in recording order."""
-        grouped: Dict[int, List[Span]] = {}
-        for span in self.spans:
-            grouped.setdefault(span.trace_id, []).append(span)
-        return grouped
-
-    def reset(self) -> None:
-        """Drop all recorded spans (id counters keep advancing)."""
-        self.spans = []
-        self.dropped = 0
-        self._stack = []
-
     def snapshot(self) -> Dict[str, int]:
         """Counters for the metrics registry."""
         open_spans = sum(1 for s in self.spans if s.end is None)

@@ -5,8 +5,8 @@ strong diurnal shape (peak 18:00--24:00) and flash crowds at event
 starts.  This package synthesizes equivalent traffic:
 
 * :mod:`repro.workload.diurnal` -- the hour-of-day rate curve;
-* :mod:`repro.workload.arrivals` -- non-homogeneous Poisson arrival
-  sampling (thinning) and flash-crowd injection;
+* :mod:`repro.workload.arrivals` -- the burstiness of an arrival
+  stream;
 * :mod:`repro.workload.flashcrowd` -- the flash-crowd viewer
   population (regions by population weight, heterogeneous upload
   capacities) driving the overlay locality storm;
@@ -18,15 +18,12 @@ starts.  This package synthesizes equivalent traffic:
 """
 
 from repro.workload.diurnal import DiurnalProfile
-from repro.workload.arrivals import NonHomogeneousPoisson, FlashCrowd
 from repro.workload.flashcrowd import FlashCrowdWorkload, ViewerSpec
 from repro.workload.zapping import ZipfChannelPopularity, ZappingModel
 from repro.workload.traces import RequestEvent, WeekTraceGenerator, FeedbackLogSampler
 
 __all__ = [
     "DiurnalProfile",
-    "NonHomogeneousPoisson",
-    "FlashCrowd",
     "FlashCrowdWorkload",
     "ViewerSpec",
     "ZipfChannelPopularity",

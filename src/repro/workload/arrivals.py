@@ -1,80 +1,13 @@
-"""Arrival-process sampling: non-homogeneous Poisson and flash crowds.
+"""Arrival-process statistics: how bursty an arrival stream is.
 
-Login and channel-switch requests arrive as a Poisson process whose
-rate follows the diurnal curve; event starts inject flash crowds on
-top.  Sampling uses Lewis--Shedler thinning: draw from a homogeneous
-process at the rate ceiling, keep each point with probability
-``rate(t) / ceiling``.
+The paper's premise is "highly correlated service request arrivals at
+the start of a live event"; :func:`burstiness_index` measures that
+correlation on a generated stream.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Callable, List, Sequence
-
-RateFunction = Callable[[float], float]
-
-
-class NonHomogeneousPoisson:
-    """Thinning sampler for a time-varying Poisson process."""
-
-    def __init__(self, rate: RateFunction, rate_ceiling: float, rng: random.Random) -> None:
-        if rate_ceiling <= 0:
-            raise ValueError("rate ceiling must be positive")
-        self._rate = rate
-        self._ceiling = rate_ceiling
-        self._rng = rng
-
-    def sample(self, start: float, end: float) -> List[float]:
-        """Arrival times in [start, end), sorted ascending."""
-        if end <= start:
-            return []
-        times: List[float] = []
-        t = start
-        while True:
-            t += self._rng.expovariate(self._ceiling)
-            if t >= end:
-                break
-            instantaneous = self._rate(t)
-            if instantaneous > self._ceiling * (1.0 + 1e-9):
-                raise ValueError(
-                    f"rate {instantaneous} exceeds ceiling {self._ceiling} at t={t}"
-                )
-            if self._rng.random() < instantaneous / self._ceiling:
-                times.append(t)
-        return times
-
-
-@dataclass(frozen=True)
-class FlashCrowd:
-    """A burst of arrivals at an event start.
-
-    ``size`` arrivals land within roughly ``window`` seconds after
-    ``start``, front-loaded (exponential decay): the paper's "highly
-    correlated service request arrivals at the start of a live event".
-    """
-
-    start: float
-    size: int
-    window: float = 120.0
-
-    def sample(self, rng: random.Random) -> List[float]:
-        """Arrival times of the crowd, sorted ascending."""
-        times = [
-            self.start + rng.expovariate(3.0 / self.window) for _ in range(self.size)
-        ]
-        times.sort()
-        return times
-
-
-def merge_arrivals(*streams: Sequence[float]) -> List[float]:
-    """Merge multiple sorted arrival streams into one sorted list."""
-    merged: List[float] = []
-    for stream in streams:
-        merged.extend(stream)
-    merged.sort()
-    return merged
+from typing import Sequence
 
 
 def burstiness_index(arrivals: Sequence[float], bin_width: float) -> float:

@@ -76,23 +76,3 @@ class DiurnalProfile:
     def hourly_table(self) -> List[float]:
         """Multiplier sampled at each of the 24 hour marks (Monday)."""
         return [self._interpolate(float(h)) for h in range(24)]
-
-
-def concurrent_users_curve(
-    profile: DiurnalProfile,
-    peak_concurrent: int,
-    horizon: float,
-    step: float = 300.0,
-) -> List[Tuple[float, int]]:
-    """A (time, concurrent-users) series over ``horizon`` seconds.
-
-    Scales the profile so its weekly maximum hits ``peak_concurrent``
-    -- the knob experiments use to match the paper's ~25-30k peak.
-    """
-    scale = peak_concurrent / profile.peak_multiplier()
-    series: List[Tuple[float, int]] = []
-    t = 0.0
-    while t <= horizon:
-        series.append((t, int(round(profile.multiplier(t) * scale))))
-        t += step
-    return series

@@ -72,16 +72,6 @@ class WeekTrace:
         ended = bisect.bisect_right(self._ends, time)
         return started - ended
 
-    def concurrency_series(self, step: float = 3600.0) -> List[Tuple[float, int]]:
-        """(time, concurrent sessions) sampled every ``step`` seconds."""
-        horizon = max((e for e in self._ends), default=0.0)
-        series = []
-        t = 0.0
-        while t <= horizon:
-            series.append((t, self.concurrent_at(t)))
-            t += step
-        return series
-
     def events_of(self, op: str) -> List[RequestEvent]:
         """All events of one operation type, time-ordered."""
         return [e for e in self.events if e.op == op]

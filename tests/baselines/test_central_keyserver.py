@@ -62,15 +62,3 @@ class TestP2pPush:
     def test_fanout_validated(self):
         with pytest.raises(ValueError):
             KeyDistributionComparison(random.Random(1), fanout=1)
-
-
-class TestCrossover:
-    def test_central_breaks_sla_at_scale_p2p_does_not(self):
-        comparison = KeyDistributionComparison(random.Random(5))
-        crossover = comparison.crossover_audience(n_servers=2, sla=1.0)
-        # Beyond the crossover, central violates the SLA...
-        storm = comparison.central_fetch(crossover * 2, n_servers=2)
-        assert storm.p99_wait > 1.0
-        # ...while the P2P push at the same audience stays far under it.
-        push = comparison.p2p_push(crossover * 2)
-        assert push.propagation_p99 < 1.0

@@ -2,73 +2,7 @@
 
 import random
 
-import pytest
-
-from repro.baselines.traditional import (
-    LicenseManager,
-    TraditionalDrmSimulation,
-)
-from repro.crypto.drbg import HmacDrbg
-from repro.crypto.rsa import generate_keypair
-from repro.errors import AuthorizationError
-
-
-@pytest.fixture
-def license_manager():
-    manager = LicenseManager(
-        signing_key=generate_keypair(HmacDrbg(b"lm"), bits=512),
-        drbg=HmacDrbg(b"lm-runtime"),
-        max_devices_per_user=2,
-        default_max_playbacks=2,
-    )
-    manager.publish_file("movie-1")
-    manager.entitle("alice", "movie-1")
-    return manager
-
-
-class TestLicenseManager:
-    def test_acquire_license(self, license_manager):
-        license_ = license_manager.acquire_license("alice", "laptop", "movie-1", now=0.0)
-        assert license_.file_id == "movie-1"
-        assert license_.content_key
-        assert license_manager.licenses_issued == 1
-
-    def test_unentitled_user_rejected(self, license_manager):
-        with pytest.raises(AuthorizationError):
-            license_manager.acquire_license("mallory", "pc", "movie-1", now=0.0)
-
-    def test_unknown_file_rejected(self, license_manager):
-        with pytest.raises(AuthorizationError):
-            license_manager.acquire_license("alice", "pc", "nope", now=0.0)
-
-    def test_entitle_unknown_file_rejected(self, license_manager):
-        with pytest.raises(AuthorizationError):
-            license_manager.entitle("alice", "nope")
-
-    def test_device_limit_enforced(self, license_manager):
-        license_manager.acquire_license("alice", "laptop", "movie-1", now=0.0)
-        license_manager.acquire_license("alice", "phone", "movie-1", now=0.0)
-        with pytest.raises(AuthorizationError):
-            license_manager.acquire_license("alice", "tv", "movie-1", now=0.0)
-
-    def test_repeat_device_ok(self, license_manager):
-        license_manager.acquire_license("alice", "laptop", "movie-1", now=0.0)
-        license_manager.acquire_license("alice", "laptop", "movie-1", now=1.0)
-
-    def test_playback_limit_enforced(self, license_manager):
-        license_ = license_manager.acquire_license("alice", "laptop", "movie-1", now=0.0)
-        assert license_manager.record_playback("alice", license_) == 1
-        assert license_manager.record_playback("alice", license_) == 2
-        with pytest.raises(AuthorizationError):
-            license_manager.record_playback("alice", license_)
-
-    def test_forged_license_rejected(self, license_manager):
-        import dataclasses
-
-        license_ = license_manager.acquire_license("alice", "laptop", "movie-1", now=0.0)
-        forged = dataclasses.replace(license_, max_playbacks=10**6)
-        with pytest.raises(AuthorizationError):
-            license_manager.record_playback("alice", forged)
+from repro.baselines.traditional import TraditionalDrmSimulation
 
 
 class TestFlashCrowdSimulation:

@@ -49,12 +49,6 @@ class TestHourlyBinning:
         collector.record("X", 10 * 3600.0, 0.2)
         assert [b.hour_index for b in collector.hourly_bins("X")] == [0, 10]
 
-    def test_median_series(self, collector):
-        collector.record("X", 100.0, 0.1)
-        collector.record("X", 3700.0, 0.5)
-        series = collector.hourly_median_series("X")
-        assert series == [(0.0, 0.1), (3600.0, 0.5)]
-
 
 class TestCorrelationWithLoad:
     def test_flat_latency_zero_correlation(self, collector):
@@ -96,14 +90,6 @@ class TestPeakSplit:
         assert sorted(peak) == [0.8, 0.9]
         assert off_peak == [0.1]
 
-    def test_cdfs_produced(self, collector):
-        for i in range(10):
-            collector.record("X", 19 * 3600.0 + i, 0.1 * i)
-            collector.record("X", 10 * 3600.0 + i, 0.1 * i)
-        peak_cdf, off_cdf = collector.peak_offpeak_cdfs("X")
-        assert len(peak_cdf) == len(off_cdf) == 10
-        assert peak_cdf[-1][1] == 1.0
-
 
 class TestSampleValidation:
     def test_nan_latency_rejected(self, collector):
@@ -131,5 +117,5 @@ class TestSampleValidation:
         collector.record("X", 0.0, 0.2)
         with pytest.raises(ValueError):
             collector.record("X", 1.0, float("nan"))
-        series = collector.hourly_median_series("X")
-        assert series == [(0.0, 0.2)]
+        (only,) = collector.hourly_bins("X")
+        assert only.median_latency == 0.2

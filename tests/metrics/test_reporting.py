@@ -1,6 +1,6 @@
 """Tests for report rendering."""
 
-from repro.metrics.reporting import cdf_summary, format_series, format_table, sparkline
+from repro.metrics.reporting import format_table, sparkline
 
 
 class TestFormatTable:
@@ -21,13 +21,6 @@ class TestFormatTable:
         assert "a" in text
 
 
-class TestFormatSeries:
-    def test_series_rendered(self):
-        text = format_series("title", [(0.0, 1.0), (1.0, 2.0)], "t", "v")
-        assert text.splitlines()[0] == "title"
-        assert "1.0000" in text or "1.000" in text
-
-
 class TestSparkline:
     def test_empty(self):
         assert sparkline([]) == ""
@@ -42,17 +35,3 @@ class TestSparkline:
     def test_peak_visible(self):
         line = sparkline([0.0, 0.0, 10.0, 0.0])
         assert line[2] != line[0]
-
-
-class TestCdfSummary:
-    def test_probes_extracted(self):
-        cdf = [(float(i), (i + 1) / 10.0) for i in range(10)]
-        rows = cdf_summary("X", cdf, probes=(0.5, 0.9))
-        assert rows[0] == ("X", 0.5, 4.0)
-        assert rows[1] == ("X", 0.9, 8.0)
-
-    def test_empty_cdf_yields_nan(self):
-        import math
-
-        rows = cdf_summary("X", [], probes=(0.5,))
-        assert math.isnan(rows[0][2])

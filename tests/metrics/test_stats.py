@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.metrics.stats import (
     cdf_at,
-    cdf_points,
     ks_distance,
     mean,
     median,
@@ -105,17 +104,6 @@ class TestPearson:
 
 
 class TestCdf:
-    def test_points_monotone(self):
-        points = cdf_points([3.0, 1.0, 2.0, 2.0])
-        values = [v for v, _ in points]
-        fractions = [f for _, f in points]
-        assert values == sorted(values)
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == 1.0
-
-    def test_empty(self):
-        assert cdf_points([]) == []
-
     def test_cdf_at(self):
         data = [1.0, 2.0, 3.0, 4.0]
         assert cdf_at(data, 2.0) == 0.5

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.p2p.storm import (
-    OverlayStormConfig,
-    run_overlay_storm,
-    run_storm_comparison,
-)
+from repro.p2p.storm import OverlayStormConfig, run_overlay_storm
 from repro.trace.report import join_breakdown, render_join_breakdown
 
 
@@ -21,7 +17,7 @@ def small_config(**kwargs):
 
 @pytest.fixture(scope="module")
 def arms():
-    return run_storm_comparison(small_config())
+    return {name: run_overlay_storm(small_config(sampler=name)) for name in ("ranked", "uniform")}
 
 
 class TestStormRun:

@@ -65,6 +65,7 @@ class TestDepth:
         try:
             overlay.source.tick(50.0)
             overlay.source.broadcast_packet(61.0)
+            overlay.check_tree()
         finally:
             sys.setrecursionlimit(limit)
 

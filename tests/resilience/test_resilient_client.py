@@ -7,7 +7,12 @@ outage that outlives the ticket becomes a recorded interruption, not a
 silent hang.
 """
 
+import pytest
+
+from repro.crypto.drbg import HmacDrbg
+from repro.errors import RenewalRefusedError
 from repro.sim.chaos import CM0, CM1, UM0, ChaosConfig, ChaosRig
+from repro.sim.driver import AsyncClient
 
 
 def test_watch_converges_with_healthy_farms():
@@ -81,3 +86,65 @@ def test_um_outage_during_login_retries_until_converged():
     assert all(o.converged for o in result.outcomes)
     # Login either failed over to um1 or retried into the recovery.
     assert rig.deployment.resilience.retries > 0
+
+
+def _resilience_events(rig, email):
+    return [
+        span for span in rig.tracer.spans
+        if span.annotations.get("client") == email
+        and (span.kind == "resilience" or span.name in ("SWITCH", "RENEWAL"))
+    ]
+
+
+def test_backoff_exhausted_parks_at_the_cap_and_playback_holds():
+    # Three attempts capped at 10 s give up at ~271 s; both instances
+    # stay down until 290 s, so the renewal parks for retry.max_delay,
+    # tries again, and lands before the ~301 s ticket expiry.
+    config = ChaosConfig(clients=2, horizon=700.0, retry_attempts=3, retry_cap=10.0)
+    rig = ChaosRig(config)
+    for address in (CM0, CM1):
+        rig.injector.down_at(235.0, address)
+        rig.injector.up_at(290.0, address)
+    result = rig.run("renewal-parked")
+    assert result.passed, result.violations
+    for viewer, outcome in zip(rig.fleet, result.outcomes):
+        events = _resilience_events(rig, viewer.email)
+        (giveup,) = [s for s in events if s.name == "GIVEUP"]
+        assert giveup.annotations["op"] == "RENEWAL"
+        retry = next(s for s in events if s.name == "RENEWAL" and s.start > giveup.start)
+        assert retry.start - giveup.start == pytest.approx(config.retry_cap)
+        assert outcome.giveups == 1
+        assert outcome.interruptions == 0  # the held ticket covered the outage
+        assert outcome.degraded_seconds > 0.0
+        assert outcome.converged
+
+
+def test_refused_renewal_falls_back_to_a_fresh_switch():
+    # The account is switched in from a second location at t=100, so
+    # the live CM refuses the first viewer's renewal at ~240 s under
+    # the one-viewing-location rule; a fresh SWITCH re-admits it.
+    config = ChaosConfig(clients=2, horizon=700.0)
+    rig = ChaosRig(config)
+    deployment = rig.deployment
+    viewer = rig.fleet[0]
+    interloper = AsyncClient(
+        network=rig.network, email=viewer.email, password="pw",
+        version=deployment.client_version, image=deployment.client_image,
+        net_addr=deployment.geo.random_address("CH", deployment.rng), region="CH",
+        drbg=HmacDrbg(b"second-location"), tracer=rig.tracer,
+    )
+    rig.sim.schedule(100.0, lambda _sim: interloper.start_login(
+        UM0, on_done=lambda: interloper.start_switch(CM0, config.channel, on_done=lambda _r: None)))
+    result = rig.run("renewal-refused")
+    assert result.passed, result.violations
+
+    events = _resilience_events(rig, viewer.email)
+    (refused,) = [s for s in events if s.name == "RENEWAL.REFUSED"]
+    assert refused.annotations["error"] == "RenewalRefusedError"
+    assert [type(e) for e in viewer.errors] == [RenewalRefusedError]
+    fresh = next(s for s in events if s.name == "SWITCH" and s.start >= refused.start)
+    assert fresh.start == refused.start
+    outcome = result.outcomes[0]
+    assert outcome.converged and outcome.interruptions == 0
+    assert viewer.channel_ticket.expire_time > config.horizon
+    assert viewer.channel_ticket.net_addr == viewer.net_addr

@@ -122,3 +122,21 @@ class TestShardCommand:
     def test_rebalance_without_additions_is_a_usage_error(self, capsys):
         assert main(["shard", "rebalance"] + self.ARGS) == 2
         assert "nothing to do" in capsys.readouterr().err
+
+
+class TestThreatsCommand:
+    def test_runs_outside_the_repo_root(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "threats"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "=== 8. What the DRM concedes" in done.stdout

@@ -6,7 +6,8 @@ production path; a slower twin survives only as a module-level
 constructor argument, a ``use_*`` method, or an environment variable.
 So nothing in ``src/`` outside the defining module may mention a
 ``reference_*`` function, and the names of the twins and switches that
-were deleted under this rule must not come back.
+were deleted under this rule -- and of the code that only tests reached
+(``tools/reach/ledger.py``) -- must not come back.
 
 The same file guards the sibling rules: for ``Deployment``
 ("Construction and wiring") one construction site per manager kind,
@@ -37,6 +38,37 @@ DELETED_NAMES = {
     "emit_packets",
     "broadcast_packets",
     "current_content_key",
+    # Reached by no production surface, deleted with their tests.
+    "LiveEvent",
+    "EventWorkload",
+    "prime_time_schedule",
+    "overlay_events_on_trace",
+    "live_events",
+    "event_audience",
+    "License",
+    "LicenseManager",
+    "format_durability_report",
+    "format_series",
+    "cdf_summary",
+    "_quantile_from_cdf",
+    "cdf_points",
+    "hourly_median_series",
+    "peak_offpeak_cdfs",
+    "asn_of",
+    "playback_active",
+    "NonHomogeneousPoisson",
+    "FlashCrowd",
+    "merge_arrivals",
+    "concurrent_users_curve",
+    "concurrency_series",
+    "run_storm_comparison",
+    "crossover_audience",
+    "correlations",
+    "run_all",
+    # Bare names too common to ban: only the class may not define them.
+    "MetricsRegistry.report",
+    "Tracer.traces",
+    "Tracer.reset",
 }
 
 
@@ -51,7 +83,13 @@ def identifiers(tree):
 
 
 def scan(root):
-    """``(reference_* uses outside the defining module, deleted names)``."""
+    """``(reference_* uses outside the defining module, deleted names)``.
+
+    A dotted entry ``Class.member`` is resurrected only by a ``Class``
+    that defines ``member`` again.
+    """
+    plain = {name for name in DELETED_NAMES if "." not in name}
+    members = {tuple(name.split(".")) for name in DELETED_NAMES if "." in name}
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(root.rglob("*.py"))
@@ -67,10 +105,17 @@ def scan(root):
     for path, tree in trees.items():
         for name, node in identifiers(tree):
             where = f"{path.relative_to(root)}:{getattr(node, 'lineno', '?')} {name}"
-            if name in DELETED_NAMES:
+            if name in plain:
                 resurrected.append(where)
             if name in defined_in and defined_in[name] != path:
                 escaped.append(where)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for item in cls.body:
+                    if (cls.name, getattr(item, "name", None)) in members:
+                        resurrected.append(
+                            f"{path.relative_to(root)}:{item.lineno} {cls.name}.{item.name}"
+                        )
     return defined_in, escaped, resurrected
 
 
@@ -94,11 +139,14 @@ def test_scan_catches_both_violations(tmp_path):
         "from oracle import reference_sum\n"
         "def total(xs, use_index=True):\n"
         "    return reference_sum(xs) if not use_index else xs.without_crt()\n"
+        "class Tracer:\n"
+        "    def reset(self):\n"          # a deleted member: caught
+        "        self.counters.reset()\n"  # the bare name elsewhere: fine
     )
     _, escaped, resurrected = scan(tmp_path)
     assert [e.split()[0] for e in escaped] == ["caller.py:1", "caller.py:3"]
     assert sorted(r.split()[1] for r in resurrected) == [
-        "use_index", "use_index", "without_crt",
+        "Tracer.reset", "use_index", "use_index", "without_crt",
     ]
 
 
@@ -207,6 +255,9 @@ REQUEST_BUILDERS = {
     # Times one server handler in isolation, so it hand-builds that
     # handler's input; it runs no exchange.
     "repro/experiments/calibration.py",
+    # Plays the attacker of Section IV-G: it hand-builds stolen,
+    # replayed and forged requests on purpose.
+    "repro/threats.py",
 }
 
 
@@ -322,3 +373,59 @@ def test_data_plane_scan_catches_each_violation(tmp_path):
         "repro/offload.py:5 pool=",
         "repro/offload.py:6 ContentKey(",
     ]
+
+
+# ----------------------------------------------------------------------
+# Depth-safe overlay walks: a tree-push overlay may be a chain deeper
+# than the interpreter's recursion limit, so no function in ``p2p/``
+# calls itself -- every walk is an explicit worklist.
+# ----------------------------------------------------------------------
+
+
+def scan_self_calls(root):
+    """``path:line name`` for every function that calls itself."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = list(function.body)
+            while body:
+                node = body.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    continue  # a nested function's calls are its own
+                if isinstance(node, ast.Call):
+                    callee = node.func
+                    if (
+                        isinstance(callee, ast.Name) and callee.id == function.name
+                        or isinstance(callee, ast.Attribute) and callee.attr == function.name
+                        and isinstance(callee.value, ast.Name)
+                        and callee.value.id in ("self", "cls")
+                    ):
+                        found.append(f"{relative}:{node.lineno} {function.name}")
+                body.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_function_in_p2p_calls_itself():
+    assert (SRC / "repro" / "p2p" / "overlay.py").is_file()
+    assert not scan_self_calls(SRC / "repro" / "p2p")
+
+
+def test_self_call_scan_catches_direct_and_method_recursion(tmp_path):
+    (tmp_path / "walk.py").write_text(
+        "def check(node):\n"
+        "    def visit(n):\n"
+        "        for c in n.children:\n"
+        "            visit(c)\n"                   # nested recursion (line 4)
+        "    visit(node)\n"                        # outer calls inner: fine
+        "class Peer:\n"
+        "    def push(self, key):\n"
+        "        for child in self.children:\n"
+        "            child.push(key)\n"            # another object: fine
+        "        self.push(key)\n"                 # line 10
+        "    def forward(self):\n"
+        "        return [self.push(None)]\n"       # a sibling method: fine
+    )
+    assert scan_self_calls(tmp_path) == ["walk.py:4 visit", "walk.py:10 push"]

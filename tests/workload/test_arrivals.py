@@ -1,77 +1,11 @@
-"""Tests for arrival-process sampling."""
+"""Tests for the burstiness statistic."""
 
 import random
 
-import pytest
-
-from repro.workload.arrivals import (
-    FlashCrowd,
-    NonHomogeneousPoisson,
-    burstiness_index,
-    merge_arrivals,
-)
-
-
-class TestNonHomogeneousPoisson:
-    def test_sorted_within_window(self):
-        process = NonHomogeneousPoisson(lambda t: 1.0, 1.0, random.Random(1))
-        times = process.sample(10.0, 110.0)
-        assert times == sorted(times)
-        assert all(10.0 <= t < 110.0 for t in times)
-
-    def test_homogeneous_rate_count(self):
-        process = NonHomogeneousPoisson(lambda t: 2.0, 2.0, random.Random(2))
-        times = process.sample(0.0, 5000.0)
-        assert 9000 < len(times) < 11000
-
-    def test_thinning_tracks_rate_function(self):
-        """Twice the rate in the second half means ~twice the arrivals."""
-        rate = lambda t: 1.0 if t < 1000.0 else 2.0
-        process = NonHomogeneousPoisson(rate, 2.0, random.Random(3))
-        times = process.sample(0.0, 2000.0)
-        first = sum(1 for t in times if t < 1000.0)
-        second = len(times) - first
-        assert 1.6 < second / first < 2.4
-
-    def test_rate_above_ceiling_rejected(self):
-        process = NonHomogeneousPoisson(lambda t: 5.0, 1.0, random.Random(4))
-        with pytest.raises(ValueError):
-            process.sample(0.0, 100.0)
-
-    def test_empty_window(self):
-        process = NonHomogeneousPoisson(lambda t: 1.0, 1.0, random.Random(5))
-        assert process.sample(10.0, 10.0) == []
-
-    def test_invalid_ceiling(self):
-        with pytest.raises(ValueError):
-            NonHomogeneousPoisson(lambda t: 1.0, 0.0, random.Random(1))
-
-
-class TestFlashCrowd:
-    def test_size_honoured(self):
-        crowd = FlashCrowd(start=100.0, size=500)
-        assert len(crowd.sample(random.Random(1))) == 500
-
-    def test_front_loaded(self):
-        crowd = FlashCrowd(start=0.0, size=2000, window=120.0)
-        times = crowd.sample(random.Random(2))
-        within_window = sum(1 for t in times if t <= 120.0)
-        assert within_window > 1800  # exponential with mean window/3
-
-    def test_sorted(self):
-        times = FlashCrowd(start=0.0, size=100).sample(random.Random(3))
-        assert times == sorted(times)
-
-    def test_no_arrivals_before_start(self):
-        times = FlashCrowd(start=50.0, size=100).sample(random.Random(4))
-        assert all(t >= 50.0 for t in times)
+from repro.workload.arrivals import burstiness_index
 
 
 class TestHelpers:
-    def test_merge_sorted(self):
-        merged = merge_arrivals([1.0, 3.0], [2.0, 4.0], [0.5])
-        assert merged == [0.5, 1.0, 2.0, 3.0, 4.0]
-
     def test_burstiness_poisson_near_one(self):
         rng = random.Random(5)
         t, times = 0.0, []
@@ -81,9 +15,10 @@ class TestHelpers:
         assert burstiness_index(times, bin_width=100.0) < 1.8
 
     def test_burstiness_flash_crowd_high(self):
-        crowd = FlashCrowd(start=5000.0, size=1000, window=60.0).sample(random.Random(6))
+        rng = random.Random(6)
+        crowd = [5000.0 + rng.expovariate(3.0 / 60.0) for _ in range(1000)]
         background = [i * 10.0 for i in range(1000)]
-        index = burstiness_index(merge_arrivals(crowd, background), bin_width=60.0)
+        index = burstiness_index(sorted(crowd + background), bin_width=60.0)
         assert index > 10.0
 
     def test_burstiness_edge_cases(self):

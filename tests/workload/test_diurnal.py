@@ -4,7 +4,6 @@ import pytest
 
 from repro.workload.diurnal import (
     DiurnalProfile,
-    concurrent_users_curve,
     is_peak_hour,
 )
 
@@ -62,16 +61,3 @@ class TestProfileShape:
         table = profile.hourly_table()
         assert len(table) == 24
         assert max(table) == pytest.approx(1.0, abs=0.25)
-
-
-class TestConcurrencyCurve:
-    def test_scales_to_peak(self, profile):
-        curve = concurrent_users_curve(profile, peak_concurrent=25000, horizon=7 * 86400.0)
-        values = [v for _, v in curve]
-        assert max(values) == pytest.approx(25000, rel=0.02)
-        assert min(values) >= 0
-
-    def test_step_spacing(self, profile):
-        curve = concurrent_users_curve(profile, 100, horizon=3600.0, step=600.0)
-        times = [t for t, _ in curve]
-        assert times == [0.0, 600.0, 1200.0, 1800.0, 2400.0, 3000.0, 3600.0]
