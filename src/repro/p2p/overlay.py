@@ -561,14 +561,14 @@ class ChannelOverlay:
             plan = self.plans.get(orphan.peer_id)
             if plan is not None:
                 plan.drop_parent(peer_id)
-            # Only source-reachable candidates are safe parents: wiring
-            # two simultaneous orphans to each other (or to a detached
-            # descendant) would orphan an island.  The probe answers
-            # per-candidate reachability by walking parent links up
-            # toward the source with memoization -- O(depth) per
-            # candidate instead of the former per-orphan O(n) BFS.
-            # Fresh per orphan: each repair rewires the graph.
-            probe = self._connectivity_probe()
+            # Only candidates reaching the source on every sub-stream the
+            # orphan lost, without passing the orphan, are safe parents:
+            # wiring two simultaneous orphans to each other (or to a
+            # descendant) would orphan an island.  Fresh per orphan:
+            # each repair rewires the graph.
+            probe = self._connectivity_probe(
+                orphan.peer_id, plan.gaps() if plan is not None else None
+            )
 
             def accept(member: Peer, _probe=probe) -> bool:
                 return _probe(member.peer_id)
@@ -613,73 +613,56 @@ class ChannelOverlay:
                 )
         return repaired
 
-    def _connectivity_probe(self) -> Callable[[str], bool]:
-        """A memoized source-reachability oracle over parent links.
+    def _connectivity_probe(
+        self,
+        orphan_id: Optional[str] = None,
+        substreams: Optional[Sequence[int]] = None,
+    ) -> Callable[[str], bool]:
+        """A memoized source-reachability oracle over parent chains.
 
-        ``probe(peer_id)`` is True when an upward chain of live,
-        link-validated parent edges (the peer's plan entry *and* the
-        parent's matching child link -- the same edges BFS follows
-        downward) reaches the source.  Each query walks only the
-        ancestor closure not already memoized, so a repair pass over k
-        candidates costs O(sum of unexplored ancestor paths) instead
-        of k full-overlay BFS traversals.
+        ``probe(peer_id)`` is True when, for every sub-stream in
+        ``substreams`` (default: all), the peer's one-parent chain for
+        that sub-stream -- plan entry *and* the parent's matching child
+        link -- reaches the source without passing ``orphan_id``.  A
+        candidate reaching the source only through the orphan, or
+        through another sub-stream, would re-home the orphan under its
+        own descendant.  Each query walks only the chain prefix not
+        already memoized per sub-stream.
         """
         source_id = self.source.peer_id
-        memo: Dict[str, bool] = {}
+        wanted = list(self.substreams.substreams() if substreams is None else substreams)
+        memos: Dict[int, Dict[str, bool]] = {s: {source_id: True} for s in wanted}
+        if orphan_id is not None:
+            for memo in memos.values():
+                memo[orphan_id] = False
 
-        def parents_of(peer_id: str) -> List[str]:
+        def parent_on(peer_id: str, substream: int) -> Optional[str]:
             plan = self.plans.get(peer_id)
             child = self.peers.get(peer_id)
-            if plan is None or child is None:
-                return []
-            out: List[str] = []
-            for parent_id in set(plan.parents.values()):
-                holder = (
-                    self.source
-                    if parent_id == source_id
-                    else self.peers.get(parent_id)
-                )
-                if holder is None or not holder.alive:
-                    continue
-                if any(
-                    link.child_peer is child for link in holder.children.values()
-                ):
-                    out.append(parent_id)
-            return out
+            parent_id = plan.parent_of(substream) if plan is not None else None
+            if child is None or parent_id is None:
+                return None
+            holder = self.source if parent_id == source_id else self.peers.get(parent_id)
+            if holder is None or not holder.alive:
+                return None
+            if any(link.child_peer is child for link in holder.children.values()):
+                return parent_id
+            return None
 
-        def connected(target: str) -> bool:
-            cached = memo.get(target)
-            if cached is not None:
-                return cached
-            # Upward DFS from the target; reaching the source (or a
-            # memo-True ancestor) proves every node on the discovery
-            # path connected.  Exhausting the search proves every
-            # up-reachable node disconnected (their entire upward
-            # closure was explored), so both outcomes memoize.
-            pred: Dict[str, Optional[str]] = {target: None}
-            stack = [target]
-            hit: Optional[str] = None
-            while stack and hit is None:
-                peer_id = stack.pop()
-                for parent_id in parents_of(peer_id):
-                    if parent_id == source_id or memo.get(parent_id):
-                        hit = peer_id
-                        break
-                    if memo.get(parent_id) is False or parent_id in pred:
-                        continue
-                    pred[parent_id] = peer_id
-                    stack.append(parent_id)
-            if hit is None:
-                for peer_id in pred:
-                    memo[peer_id] = False
-                return False
-            node: Optional[str] = hit
-            while node is not None:
-                memo[node] = True
-                node = pred[node]
-            return True
+        def reaches(peer_id: str, substream: int) -> bool:
+            memo = memos[substream]
+            chain: Dict[str, None] = {}
+            node: Optional[str] = peer_id
+            while node is not None and node not in memo and node not in chain:
+                chain[node] = None
+                node = parent_on(node, substream)
+            # A dangling chain (None) or a loop back into itself is cut off.
+            result = node is not None and memo.get(node, False)
+            for member in chain:
+                memo[member] = result
+            return result
 
-        return connected
+        return lambda peer_id: all(reaches(peer_id, s) for s in wanted)
 
     def orphans(self) -> List[str]:
         """Peers with incomplete parent plans (need repair)."""
@@ -750,48 +733,52 @@ class ChannelOverlay:
     # ------------------------------------------------------------------
 
     def check_tree(self) -> None:
-        """Assert reachability from the source and acyclicity.
+        """Assert, per sub-stream, reachability from the source and acyclicity.
 
-        Raises :class:`OverlayError` on violation.  Only single-parent
-        overlays form strict trees; with sub-streams the structure is a
-        DAG, and this check verifies reachability plus absence of
-        directed cycles.
+        Raises :class:`OverlayError` on violation.  Each sub-stream
+        follows only the child links that carry it.  A single-parent
+        overlay is one strict tree; with peer-division multiplexing the
+        union may hold a cycle (A feeds B on one sub-stream, B feeds A
+        on another), which is sound as long as no sub-stream loops.
         """
-        visited: set = set()
-        stack = [self.source]
-        while stack:
-            node = stack.pop()
-            if node.peer_id in visited:
-                continue
-            visited.add(node.peer_id)
-            for link in node.children.values():
-                if link.child_peer is not None:
-                    stack.append(link.child_peer)
-        unreachable = [pid for pid in self.peers if pid not in visited]
-        if unreachable:
-            raise OverlayError(f"peers unreachable from source: {unreachable}")
-        # Cycle check: colour-marking depth-first search over an explicit
-        # stack of child iterators, so a chain of any depth is checked.
-        # Grey peers are on the current path; a link back to one closes
-        # a cycle.  Black peers are finished.
-        grey = {self.source.peer_id}
-        black: set = set()
-        path = [(self.source, iter(self.source.children.values()))]
-        while path:
-            node, links = path[-1]
-            for link in links:
-                child = link.child_peer
-                if child is None or child.peer_id in black:
-                    continue
-                if child.peer_id in grey:
-                    raise OverlayError(f"cycle through {child.peer_id}")
-                grey.add(child.peer_id)
-                path.append((child, iter(child.children.values())))
-                break
-            else:
-                path.pop()
-                grey.discard(node.peer_id)
-                black.add(node.peer_id)
+        for substream in self.substreams.substreams():
+
+            def carried(node: Peer, s: int = substream):
+                return (
+                    link.child_peer
+                    for link in node.children.values()
+                    if link.child_peer is not None
+                    and (link.substreams is None or s in link.substreams)
+                )
+
+            # Colour-marking depth-first search over an explicit stack of
+            # child iterators, so a chain of any depth is checked.  Grey
+            # peers are on the current path; a link back to one closes a
+            # cycle.  Black peers are finished, i.e. reachable.
+            grey = {self.source.peer_id}
+            black: set = set()
+            cycle: Optional[str] = None
+            path = [(self.source, carried(self.source))]
+            while path:
+                node, children = path[-1]
+                for child in children:
+                    if child.peer_id in black:
+                        continue
+                    if child.peer_id in grey:
+                        cycle = cycle or child.peer_id
+                        continue
+                    grey.add(child.peer_id)
+                    path.append((child, carried(child)))
+                    break
+                else:
+                    path.pop()
+                    grey.discard(node.peer_id)
+                    black.add(node.peer_id)
+            unreachable = [pid for pid in self.peers if pid not in black]
+            if unreachable:
+                raise OverlayError(f"peers unreachable from source: {unreachable}")
+            if cycle is not None:
+                raise OverlayError(f"cycle through {cycle}")
 
     def depths(self) -> Dict[str, int]:
         """Hop distance of every reachable peer from the source."""

@@ -1,51 +1,82 @@
-"""Chaos scenario suite: injected failures vs. the resilience layer.
+"""Chaos scenario suite: injected failures vs. resilience and detection.
 
-Each scenario builds one :class:`ChaosRig` -- a replicated deployment
-(UM and CM farms with one failover replica each) serving a fleet of
-:class:`~repro.resilience.client.ResilientAsyncClient` viewers over the
-virtual network -- injects a failure pattern through the
-:class:`~repro.sim.faults.FaultInjector`, runs to the horizon, and
-checks the suite's invariants:
+Two rigs, each a value-driven scenario family:
 
-* **no entitled viewer permanently stuck** -- every client holds a
-  Channel Ticket valid past the horizon when the run ends;
-* **no double-location violation** -- the shared viewing log passes
-  :func:`~repro.sim.faults.single_location_violations` even though
-  renewals migrated across farm instances mid-fault;
-* **zero-interruption survival** -- at least ``min_uninterrupted`` of
-  the clients holding valid tickets at fault onset ride out the outage
-  in degraded mode without playback ever stopping;
-* **counter consistency** -- the shared
-  :class:`~repro.resilience.counters.ResilienceCounters` agree with the
-  per-client tallies and with each other (every transport failure is
-  answered by exactly one retry or give-up, breakers close at most as
-  often as they open, degraded entries balance exits);
-* **observability** -- injected faults leave ``kind="resilience"``
-  spans (RETRY / FAILOVER / DEGRADED.*) in the tracer.
+* :class:`ChaosRig` -- a replicated deployment (UM and CM farms with
+  one failover replica each) serving a fleet of
+  :class:`~repro.resilience.client.ResilientAsyncClient` viewers over
+  the virtual network.  A :class:`FarmFaults` row plays a soft-fault
+  schedule (:meth:`~repro.sim.faults.FaultInjector.schedule`) on it and
+  checks the invariants:
 
-Timing shape (defaults): Channel Tickets live 300 s and clients renew
-60 s early, so with kickoffs at ``t = i`` the renewal storm crosses
-t in [241, 249) and tickets expire near t in [301, 309) -- fault windows
-around t = 235..330 therefore hit every client mid-renewal while its
-ticket is still valid, which is exactly the regime degraded mode is
-for.
+  * **no entitled viewer permanently stuck** -- every client holds a
+    Channel Ticket valid past the horizon when the run ends;
+  * **no double-location violation** -- the shared viewing log passes
+    :func:`~repro.sim.faults.single_location_violations` even though
+    renewals migrated across farm instances mid-fault;
+  * **zero-interruption survival** -- at least ``min_uninterrupted`` of
+    the clients holding valid tickets at fault onset ride out the
+    outage in degraded mode without playback ever stopping;
+  * **counter consistency** -- the shared
+    :class:`~repro.resilience.counters.ResilienceCounters` agree with
+    the per-client tallies and with each other (every transport
+    failure is answered by exactly one retry or give-up, breakers
+    close at most as often as they open, degraded entries balance
+    exits);
+  * **observability** -- injected faults leave ``kind="resilience"``
+    spans (RETRY / FAILOVER / DEGRADED.*) in the tracer.
+
+  Timing shape (defaults): Channel Tickets live 300 s and clients renew
+  60 s early, so with kickoffs at ``t = i`` the renewal storm crosses
+  t in [241, 249) and tickets expire near t in [301, 309) -- fault
+  windows around t = 235..330 therefore hit every client mid-renewal
+  while its ticket is still valid, which is exactly the regime degraded
+  mode is for.
+
+* :class:`AdversarialRig` -- one channel whose fleet is ~20% Byzantine
+  peers (polluting forwarded packets, withholding or replaying content
+  keys, lying about tree depth), driven on a manual clock.  A
+  :class:`Byzantine` row picks the misbehavior and checks the paper's
+  threat-model invariants plus the detect -> quarantine -> evict ->
+  repair pipeline:
+
+  * **zero tampered decryptions, ever** -- asserted against the
+    adversary's ground-truth log of polluted ciphertexts: if any honest
+    client successfully decrypts polluted bytes, AEAD is broken;
+  * **playback survives** -- at least ``min_uninterrupted`` of the
+    honest viewers still decrypt fresh packets after the horizon;
+  * **the pipeline is observable** -- detection, quarantine and
+    eviction show up as ``kind="adversary"`` trace spans, scorecard
+    events and ``adversary.*`` registry counters, and no honest peer
+    is ever quarantined.
+
+  ``CHAOS_ADV_VIEWERS`` overrides the honest-viewer count: ``--clients``
+  sizes the resilient fleet, and the Byzantine gates need at least 8
+  honest viewers, so one knob cannot size both.
+
+``join_flood`` and ``shard_killed_mid_resharding`` drive their own
+workloads and stay functions.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.crypto.drbg import HmacDrbg
 from repro.deployment import Deployment
+from repro.errors import RateLimitError, ReproError
 from repro.metrics.reporting import format_table
+from repro.p2p.adversary import AdversarialPeer, AdversaryConfig
 from repro.resilience.client import ResilientAsyncClient
 from repro.resilience.retry import RetryPolicy
 from repro.sim.driver import wire_channel_manager, wire_user_manager
 from repro.sim.engine import Simulator
-from repro.sim.faults import FaultInjector, single_location_violations
+from repro.sim.faults import FaultInjector, FaultRow, flap, single_location_violations
 from repro.sim.network import LatencyModel, RegionRtt
 from repro.sim.rpc import VirtualNetwork
 from repro.sim.station import ServiceStation
@@ -107,39 +138,17 @@ class ScenarioResult:
     counters: Dict[str, float]
     resilience_spans: Dict[str, int]
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "violations": list(self.violations),
-            "horizon": self.horizon,
-            "fault_events": [list(e) for e in self.fault_events],
-            "outcomes": [asdict(o) for o in self.outcomes],
-            "counters": dict(self.counters),
-            "resilience_spans": dict(self.resilience_spans),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ScenarioResult":
-        return ScenarioResult(
-            name=data["name"],
-            passed=data["passed"],
-            violations=list(data["violations"]),
-            horizon=data["horizon"],
-            fault_events=[tuple(e) for e in data["fault_events"]],
-            outcomes=[ClientOutcome(**o) for o in data["outcomes"]],
-            counters=dict(data["counters"]),
-            resilience_spans=dict(data["resilience_spans"]),
-        )
-
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(asdict(self), fh, indent=2)
 
 
 def load_result(path: str) -> ScenarioResult:
     with open(path, "r", encoding="utf-8") as fh:
-        return ScenarioResult.from_dict(json.load(fh))
+        data = json.load(fh)
+    data["fault_events"] = [tuple(e) for e in data["fault_events"]]
+    data["outcomes"] = [ClientOutcome(**o) for o in data["outcomes"]]
+    return ScenarioResult(**data)
 
 
 class ChaosRig:
@@ -175,24 +184,16 @@ class ChaosRig:
         )
         self.network.tracer = self.tracer
         self.stations: Dict[str, ServiceStation] = {}
-        for name in ("um0", "um1", "cm0", "cm1"):
+        for name, address, wire, manager in (
+            ("um0", UM0, wire_user_manager, deployment.user_managers["domain-0"]),
+            ("um1", UM1, wire_user_manager, deployment.um_replicas["domain-0"][0]),
+            ("cm0", CM0, wire_channel_manager, self.primary_cm),
+            ("cm1", CM1, wire_channel_manager, self.replica_cm),
+        ):
             self.stations[name] = ServiceStation(
                 self.sim, 2, 0.005, random.Random(rng.randrange(2**63)), name=name
             )
-        wire_user_manager(
-            self.network, deployment.user_managers["domain-0"], UM0,
-            station=self.stations["um0"],
-        )
-        wire_user_manager(
-            self.network, deployment.um_replicas["domain-0"][0], UM1,
-            station=self.stations["um1"],
-        )
-        wire_channel_manager(
-            self.network, self.primary_cm, CM0, station=self.stations["cm0"]
-        )
-        wire_channel_manager(
-            self.network, self.replica_cm, CM1, station=self.stations["cm1"]
-        )
+            wire(self.network, manager, address, station=self.stations[name])
 
         retry = RetryPolicy(
             base_delay=config.retry_base,
@@ -233,44 +234,26 @@ class ChaosRig:
 
     # ------------------------------------------------------------------
 
-    def client_addresses(self) -> List[str]:
-        return [viewer.net_addr for viewer in self.fleet]
-
-    def run(self, name: str, extra_violations: Callable[["ChaosRig"], List[str]] = None) -> ScenarioResult:
+    def run(self, name: str) -> ScenarioResult:
         """Run to the horizon, flush accounting, check invariants."""
         config = self.config
         self.sim.run(until=config.horizon)
         for viewer in self.fleet:
             viewer.finalize(config.horizon)
 
-        outcomes = [
-            ClientOutcome(
-                email=v.email,
-                retries=v.retries,
-                giveups=v.giveups,
-                failovers=v.failovers,
-                degraded_seconds=v.degraded_seconds,
+        outcomes = []
+        for v in self.fleet:
+            expires = v.channel_ticket.expire_time if v.channel_ticket is not None else None
+            outcomes.append(ClientOutcome(
+                email=v.email, retries=v.retries, giveups=v.giveups,
+                failovers=v.failovers, degraded_seconds=v.degraded_seconds,
                 interruptions=v.interruptions,
                 interruption_seconds=v.interruption_seconds,
-                converged=(
-                    v.channel_ticket is not None
-                    and v.channel_ticket.expire_time > config.horizon
-                ),
-                ticket_expires_at=(
-                    v.channel_ticket.expire_time
-                    if v.channel_ticket is not None
-                    else None
-                ),
-            )
-            for v in self.fleet
-        ]
+                converged=expires is not None and expires > config.horizon,
+                ticket_expires_at=expires,
+            ))
         violations = self._check_invariants(outcomes)
-        if extra_violations is not None:
-            violations.extend(extra_violations(self))
-        span_counts: Dict[str, int] = {}
-        for span in self.tracer.spans:
-            if span.kind == "resilience":
-                span_counts[span.name] = span_counts.get(span.name, 0) + 1
+        span_counts = Counter(s.name for s in self.tracer.spans if s.kind == "resilience")
         return ScenarioResult(
             name=name,
             passed=not violations,
@@ -279,7 +262,7 @@ class ChaosRig:
             fault_events=list(self.injector.events),
             outcomes=outcomes,
             counters=self.deployment.resilience.snapshot(),
-            resilience_spans=span_counts,
+            resilience_spans=dict(span_counts),
         )
 
     def _check_invariants(self, outcomes: List[ClientOutcome]) -> List[str]:
@@ -363,86 +346,313 @@ class ChaosRig:
         return violations
 
 
+#: Honest viewers unless CHAOS_ADV_VIEWERS overrides; one adversary per
+#: four honest viewers makes the fleet exactly 20% adversarial.
+DEFAULT_VIEWERS = 20
+KEY_EPOCH = 60.0
+STEP = 10.0
+
+
+class AdversarialRig:
+    """One channel, a mixed honest/Byzantine fleet, a manual clock.
+
+    The rig drives the overlay directly (source tick + packet
+    broadcast each step, a containment sweep each key epoch) the way
+    the flash-crowd storm driver does -- no virtual network needed,
+    the misbehavior is all above the transport.
+    """
+
+    def __init__(
+        self,
+        config: ChaosConfig,
+        adversary: AdversaryConfig,
+        adversaries_first: bool = True,
+        join_rate_limit: Optional[Tuple[int, float]] = None,
+    ) -> None:
+        self.config = config
+        env = os.environ.get("CHAOS_ADV_VIEWERS")
+        viewers = max(4, int(env)) if env is not None else max(DEFAULT_VIEWERS, config.clients)
+        n_adversaries = max(1, round(viewers * 0.25))
+        self.deployment = Deployment(seed=config.seed, source_capacity=4)
+        self.tracer = self.deployment.enable_tracing()
+        # A long half-life inside one run: evidence from the fault
+        # window must not decay away before the containment sweep.
+        self.scorecard = self.deployment.enable_misbehavior_detection(
+            half_life=600.0,
+            quarantine_threshold=3.0,
+            join_rate_limit=join_rate_limit,
+        )
+        self.deployment.add_free_channel(
+            config.channel, regions=["CH"], now=0.0, key_epoch=KEY_EPOCH
+        )
+        self.overlay = self.deployment.overlay(config.channel)
+        self.honest_clients = []
+        self.honest_peers = []
+        self.adversaries: List[AdversarialPeer] = []
+        self.violations: List[str] = []
+
+        adversarial = [(f"byz{i}@example.org", adversary) for i in range(n_adversaries)]
+        honest = [(f"viewer{i}@example.org", None) for i in range(viewers)]
+        if adversaries_first:
+            # Scatter the adversaries through the join order (one per
+            # honest stride).  Joining them in a block would stack them
+            # at the top of the tree where they only parent each other
+            # -- a blackout, not the detectable-misbehavior regime
+            # these scenarios exercise.  Interleaved, each adversary
+            # lands under an honest parent and collects honest
+            # children.  The first comes right after the second honest
+            # joiner -- early enough that shallow slots are still open,
+            # so its inflated capacity advertisement actually wins it
+            # honest children through the ranked pipeline.  Later slots
+            # may land deep and childless; the gates only need the
+            # exposed ones.
+            stride = max(1, viewers // n_adversaries)
+            joiners, pending = [], adversarial
+            for count, entry in enumerate(honest, 1):
+                joiners.append(entry)
+                if pending and count >= 2 and (count - 2) % stride == 0:
+                    joiners.append(pending.pop(0))
+            joiners += pending
+        else:
+            joiners = honest + adversarial
+        for index, (email, misbehavior) in enumerate(joiners):
+            self.admit(email, f"pw{index}", float(index), misbehavior)
+
+    def admit(
+        self, email: str, password: str, now: float,
+        adversary: Optional[AdversaryConfig] = None,
+    ) -> None:
+        """Log a viewer in, switch it to the channel and join the overlay.
+
+        An honest viewer's client is guarded: it may never
+        *successfully* decrypt polluted bytes.  Tampered copies share
+        (serial, sequence) with the honest original, so the guard keys
+        on the exact ciphertext.
+        """
+        channel = self.config.channel
+        client = self.deployment.create_client(email, password, region="CH")
+        client.login(now=now)
+        response = client.switch_channel(channel, now=now)
+        if adversary is None:
+            peer = self.deployment.make_peer(client, channel)
+            original = client.receive_packet
+
+            def guarded(packet):
+                payload = original(packet)
+                for bad in self.adversaries:
+                    if packet.ciphertext in bad.tampered_blobs:
+                        self.violations.append(
+                            f"{client.email} decrypted tampered packet "
+                            f"{packet.serial}:{packet.sequence} from {bad.peer_id}"
+                        )
+                return payload
+
+            client.receive_packet = guarded
+            self.honest_clients.append(client)
+            self.honest_peers.append(peer)
+        else:
+            # Extra uplink budget: a misbehaving peer *advertising*
+            # generous capacity is exactly how a real polluter
+            # maximizes its blast radius through ranked selection.
+            peer = self.deployment.make_adversarial_peer(
+                client, channel, config=adversary, capacity=8
+            )
+            self.adversaries.append(peer)
+        self.overlay.join(peer, response.peers, now)
+
+    # -- driving --------------------------------------------------------
+
+    def run_clock(
+        self, on_step: Optional[Callable[[float], None]] = None
+    ) -> None:
+        """Broadcast + key rotation to the horizon, containment sweeps
+        once per key epoch."""
+        t = 0.0
+        next_sweep = KEY_EPOCH
+        while t <= self.config.horizon:
+            self.scorecard.advance(t)
+            self.overlay.source.tick(t)
+            self.overlay.source.broadcast_packet(t)
+            if on_step is not None:
+                on_step(t)
+            if t >= next_sweep:
+                self.deployment.contain_misbehavior(t)
+                next_sweep += KEY_EPOCH
+            t += STEP
+
+    def playback_fraction(self) -> float:
+        """Fraction of honest viewers decrypting *fresh* packets after
+        the horizon (the paper's bar: authorized playback survives)."""
+        horizon = self.config.horizon
+        marks = {c.email: c.packets_decrypted for c in self.honest_clients}
+        for i in range(3):
+            now = horizon + float(i + 1)
+            self.overlay.source.tick(now)
+            self.overlay.source.broadcast_packet(now)
+        playing = sum(
+            1 for c in self.honest_clients if c.packets_decrypted > marks[c.email]
+        )
+        return playing / max(1, len(self.honest_clients))
+
+    # -- result assembly ------------------------------------------------
+
+    def finish(self, name: str, extra_violations: List[str]) -> ScenarioResult:
+        violations = list(self.violations) + list(extra_violations)
+        counters = {
+            f"adversary.{key}": float(value)
+            for key, value in self.deployment.misbehavior.snapshot().items()
+        }
+        counters["overlay.repairs"] = float(self.overlay.repairs)
+        counters["overlay.repair_log_dropped"] = float(self.overlay.repair_log.dropped)
+        counters["honest_viewers"] = float(len(self.honest_clients))
+        counters["adversaries"] = float(len(self.adversaries))
+        span_counts = Counter(
+            span.name for span in self.tracer.spans if span.kind == "adversary"
+        )
+        # Fault log: one line per adversary (what it injected), then
+        # the scorecard's quarantine/evict transitions.
+        fault_events: List[tuple] = []
+        for peer in self.adversaries:
+            injected = Counter(kind for kind, _ in peer.injection_log)
+            fault_events.append(
+                (peer.config.start, "adversary", f"{peer.peer_id} {dict(injected)}")
+            )
+        fault_events.extend(
+            (when, kind, target)
+            for when, kind, target in self.scorecard.events
+            if not kind.startswith("detect:")
+        )
+        return ScenarioResult(
+            name=name,
+            passed=not violations,
+            violations=violations,
+            horizon=self.config.horizon,
+            fault_events=fault_events,
+            outcomes=[],
+            counters=counters,
+            resilience_spans=dict(span_counts),
+        )
+
+    # -- shared invariant helpers ---------------------------------------
+
+    def require_playback(self, violations: List[str]) -> None:
+        fraction = self.playback_fraction()
+        if fraction < self.config.min_uninterrupted:
+            violations.append(
+                f"only {fraction:.0%} of honest viewers kept playback "
+                f"(bar {self.config.min_uninterrupted:.0%})"
+            )
+
+
 # ----------------------------------------------------------------------
 # Scenarios
 # ----------------------------------------------------------------------
 
 
-def manager_crash_mid_storm(config: Optional[ChaosConfig] = None) -> ScenarioResult:
-    """The acceptance scenario: the primary CM dies during the renewal
-    storm and stays dead past every ticket's expiry.
+@dataclass(frozen=True)
+class FarmFaults:
+    """A resilient scenario: a soft-fault schedule on :class:`ChaosRig`.
 
-    Every client times out on ``cm0``, trips its breaker, and fails
-    over to ``cm1`` -- which shares the viewing log, so renewals
-    continue the same viewing location.  After ``cm0`` recovers, the
-    next renewal wave's half-open probes re-close its breakers.
+    ``partition`` rows name the groups ``fleet`` (the viewers'
+    addresses) and ``cm_farm``; ``brownout`` rows name a farm station.
+    ``relogin_at`` starts a staggered re-login wave at that instant.
     """
-    config = config or ChaosConfig()
-    rig = ChaosRig(config)
-    rig.injector.down_at(235.0, CM0)
-    rig.injector.up_at(330.0, CM0)
-    return rig.run("manager_crash_mid_storm")
+
+    faults: Tuple[FaultRow, ...]
+    overrides: Mapping[str, object] = field(default_factory=dict)
+    relogin_at: Optional[float] = None
+
+    def __call__(self, name: str, config: Optional[ChaosConfig]) -> ScenarioResult:
+        config = replace(config or ChaosConfig(), **self.overrides)
+        rig = ChaosRig(config)
+        groups = {"fleet": [v.net_addr for v in rig.fleet], "cm_farm": [CM0, CM1]}
+        rig.injector.schedule(self.faults, groups, rig.stations)
+        if self.relogin_at is not None:
+            for index, viewer in enumerate(rig.fleet):
+                rig.sim.schedule(
+                    self.relogin_at + config.kickoff_stagger * index,
+                    lambda _sim, v=viewer: v.start_resilient_login(lambda: None),
+                )
+        return rig.run(name)
 
 
-def rolling_restarts(config: Optional[ChaosConfig] = None) -> ScenarioResult:
-    """Maintenance reboots: each farm instance restarts in turn, never
-    both at once.  A re-login wave crosses the UM restarts; the renewal
-    storm crosses the CM restarts."""
-    config = replace(config or ChaosConfig(), round_timeout=5.0)
-    rig = ChaosRig(config)
-    rig.injector.down_at(60.0, UM0)
-    rig.injector.up_at(90.0, UM0)
-    rig.injector.down_at(100.0, UM1)
-    rig.injector.up_at(130.0, UM1)
-    rig.injector.down_at(235.0, CM0)
-    rig.injector.up_at(275.0, CM0)
-    rig.injector.down_at(280.0, CM1)
-    rig.injector.up_at(310.0, CM1)
-    for index, viewer in enumerate(rig.fleet):
-        rig.sim.schedule(
-            65.0 + config.kickoff_stagger * index,
-            lambda _sim, v=viewer: v.start_resilient_login(lambda: None),
+@dataclass(frozen=True)
+class Byzantine:
+    """A Byzantine scenario: one misbehavior on :class:`AdversarialRig`.
+
+    ``detection`` is the misbehavior counter that must fire;
+    ``injection`` is the ``injection_log`` kind whose absence means the
+    adversaries never misbehaved (a rig bug, not a pass); ``check``
+    adds scenario-specific violations.
+    """
+
+    adversary: AdversaryConfig
+    detection: str
+    injection: str
+    adversaries_first: bool = True
+    check: Optional[Callable[[AdversarialRig], List[str]]] = None
+
+    def __call__(self, name: str, config: Optional[ChaosConfig]) -> ScenarioResult:
+        rig = AdversarialRig(
+            config or ChaosConfig(channel="byz"),
+            self.adversary,
+            adversaries_first=self.adversaries_first,
         )
-    return rig.run("rolling_restarts")
+        rig.run_clock()
+        # Detection fired, quarantine happened, eviction repaired, and
+        # no honest peer was framed.
+        violations: List[str] = []
+        snapshot = rig.deployment.misbehavior.snapshot()
+        if snapshot[self.detection] == 0:
+            violations.append(f"no {self.detection} detections recorded")
+        if snapshot["peers_quarantined"] == 0:
+            violations.append("no peer was quarantined")
+        if snapshot["peers_evicted"] == 0:
+            violations.append("no peer was evicted")
+        names = {s.name for s in rig.tracer.spans if s.kind == "adversary"}
+        for required in ("ADVERSARY.detect", "ADVERSARY.quarantine", "ADVERSARY.evict"):
+            if required not in names:
+                violations.append(f"missing {required} trace span")
+        framed = sorted(rig.scorecard.quarantined() & {p.peer_id for p in rig.honest_peers})
+        if framed:
+            violations.append(f"honest peers quarantined: {framed}")
+        rig.require_playback(violations)
+        if not any(
+            kind == self.injection for peer in rig.adversaries for kind, _ in peer.injection_log
+        ):
+            violations.append(f"adversaries never logged a {self.injection!r} (rig bug)")
+        if self.check is not None:
+            violations.extend(self.check(rig))
+        return rig.finish(name, violations)
 
 
-def partition_cm_farm(config: Optional[ChaosConfig] = None) -> ScenarioResult:
-    """The WAN between the viewers and the whole CM farm goes dark for
-    27 s across the renewal storm.  No replica helps -- both are
-    unreachable -- so every client simply degrades and retries until
-    the partition heals; breakers should mostly stay closed (two
-    failures is below the trip threshold)."""
-    config = config or ChaosConfig()
-    rig = ChaosRig(config)
-    rig.injector.partition_at(235.0, rig.client_addresses(), [CM0, CM1])
-    rig.injector.heal_at(262.0)
-    return rig.run("partition_cm_farm")
+def _depths_track_tree(rig: AdversarialRig) -> List[str]:
+    """Honest heartbeats keep advertised depths within one hop of the
+    measured tree (they refresh once per key epoch via ``parent_depth``)."""
+    measured = rig.overlay.depths()
+    stale = [
+        (peer.peer_id, peer.depth, measured[peer.peer_id])
+        for peer in rig.honest_peers
+        if peer.peer_id in measured and abs(peer.depth - measured[peer.peer_id]) > 1
+    ]
+    return [f"honest depths drifted from measured tree: {stale[:5]}"] if stale else []
 
 
-def slow_station_brownout(config: Optional[ChaosConfig] = None) -> ScenarioResult:
-    """The primary CM doesn't die -- its farm goes slow (1000x service
-    time), the realistic gray failure.  Requests queue past the round
-    timeout, which the client cannot distinguish from loss: breakers
-    trip on the timeouts and the fleet drains to the replica."""
-    config = config or ChaosConfig()
-    rig = ChaosRig(config)
-    station = rig.stations["cm0"]
-    rig.injector.brownout_at(230.0, station, 1000.0)
-    rig.injector.restore_at(290.0, station, 1000.0)
-    return rig.run("slow_station_brownout")
+def _rings_at_head(rig: AdversarialRig) -> List[str]:
+    """Replayed serials never regress a ring: every honest client's
+    newest accepted activation stays at the stream head."""
+    head = max((c._newest_key_activation for c in rig.honest_clients), default=0.0)
+    laggards = [
+        c.email
+        for c in rig.honest_clients
+        if head - c._newest_key_activation > 2 * KEY_EPOCH
+    ]
+    if len(laggards) > len(rig.honest_clients) * 0.05:
+        return [f"key rings regressed under replay: {laggards[:5]}"]
+    return []
 
 
-def replica_flap(config: Optional[ChaosConfig] = None) -> ScenarioResult:
-    """The primary CM flaps -- 6 s down, 6 s up -- through the renewal
-    storm.  Clients whose attempts straddle down-windows retry and may
-    fail over; the healthy replica backstops everyone."""
-    config = config or ChaosConfig()
-    rig = ChaosRig(config)
-    rig.injector.flap(CM0, start=236.0, stop=278.0, period=6.0)
-    return rig.run("replica_flap")
-
-
-def shard_killed_mid_resharding(config: Optional[ChaosConfig] = None) -> ScenarioResult:
+def shard_killed_mid_resharding(name: str, config: Optional[ChaosConfig]) -> ScenarioResult:
     """A UM shard being resharded *in* dies halfway through the range move.
 
     A sharded deployment with live viewers stands up a new
@@ -563,7 +773,7 @@ def shard_killed_mid_resharding(config: Optional[ChaosConfig] = None) -> Scenari
     violations.extend(single_location_violations(runtime.viewing.combined_log()))
 
     return ScenarioResult(
-        name="shard_killed_mid_resharding",
+        name=name,
         passed=not violations,
         violations=violations,
         horizon=1620.0,
@@ -574,36 +784,113 @@ def shard_killed_mid_resharding(config: Optional[ChaosConfig] = None) -> Scenari
     )
 
 
-def _adversarial(name: str) -> Callable[[Optional[ChaosConfig]], ScenarioResult]:
-    """Late-bound adversarial scenario (breaks the chaos<->adversarial
-    import cycle: :mod:`repro.sim.adversarial` imports this module's
-    result types at load time)."""
+def join_flood(name: str, config: Optional[ChaosConfig]) -> ScenarioResult:
+    """One authorized client hammers SWITCH from t=150 onward.
 
-    def run(config: Optional[ChaosConfig] = None) -> ScenarioResult:
-        from repro.sim import adversarial
+    The CM's per-address sliding-window rate limiter sheds the flood
+    before signature work; honest viewers -- including one that joins
+    *during* the flood from its own address -- are untouched.
+    """
+    config = config or ChaosConfig(channel="byz")
+    # The flood comes from a client, not a peer.
+    rig = AdversarialRig(config, AdversaryConfig(), join_rate_limit=(5, 60.0))
+    flooder = rig.deployment.create_client("flood@example.org", "pw", region="CH")
+    flooder.login(now=1.0)
+    flood: Counter = Counter()
+    errors: List[str] = []
+    late: List[float] = []
 
-        return getattr(adversarial, name)(config)
+    def step(now: float) -> None:
+        for _ in range(4 if now >= 150.0 else 0):  # 24/min against a 5/min budget
+            flood["attempts"] += 1
+            try:
+                flooder.switch_channel(config.channel, now=now)
+            except RateLimitError:
+                flood["refused"] += 1
+            except ReproError as exc:
+                errors.append(str(exc))
+        if not late and now >= 300.0:
+            late.append(now)
+            try:
+                rig.admit("late@example.org", "pw-late", now)
+            except ReproError as exc:
+                rig.violations.append(f"honest mid-flood join failed: {exc}")
 
-    run.__name__ = name
-    return run
+    rig.run_clock(on_step=step)
+    violations: List[str] = []
+    if rig.deployment.misbehavior.snapshot()["joins_rate_limited"] == 0:
+        violations.append("rate limiter never fired during the flood")
+    if flood["refused"] == 0:
+        violations.append("flooder was never refused")
+    if flood["refused"] < flood["attempts"] * 0.5:
+        violations.append(
+            f"rate limiter too porous: {flood['refused']}/{flood['attempts']} refused"
+        )
+    if errors:
+        violations.append(f"unexpected flood errors: {errors[:3]}")
+    if not late:
+        violations.append("late honest viewer never attempted its join")
+    rig.require_playback(violations)
+    result = rig.finish(name, violations)
+    result.counters["flood.attempts"] = float(flood["attempts"])
+    result.counters["flood.refused"] = float(flood["refused"])
+    return result
 
 
-#: Scenario registry, in documentation order.  ``manager_crash_mid_storm``
-#: first: it is the acceptance scenario and the CI smoke target.  The
-#: ``polluting_parents``..``replay_storm`` tail is the Byzantine-peer
-#: suite (see :mod:`repro.sim.adversarial`).
-SCENARIOS: Dict[str, Callable[[Optional[ChaosConfig]], ScenarioResult]] = {
-    "manager_crash_mid_storm": manager_crash_mid_storm,
-    "rolling_restarts": rolling_restarts,
-    "partition_cm_farm": partition_cm_farm,
-    "slow_station_brownout": slow_station_brownout,
-    "replica_flap": replica_flap,
+#: Scenario registry, in documentation order: each entry is called as
+#: ``scenario(name, config)``.  ``manager_crash_mid_storm`` first: it is
+#: the acceptance scenario -- the primary CM dies during the renewal
+#: storm and stays dead past every ticket's expiry.
+SCENARIOS: Dict[str, Callable[[str, Optional[ChaosConfig]], ScenarioResult]] = {
+    "manager_crash_mid_storm": FarmFaults(
+        ((235.0, "down", CM0), (330.0, "up", CM0)),
+    ),
+    # Maintenance reboots, one instance at a time: a re-login wave
+    # crosses the UM restarts, the renewal storm the CM restarts.
+    "rolling_restarts": FarmFaults(
+        (
+            (60.0, "down", UM0), (90.0, "up", UM0),
+            (100.0, "down", UM1), (130.0, "up", UM1),
+            (235.0, "down", CM0), (275.0, "up", CM0),
+            (280.0, "down", CM1), (310.0, "up", CM1),
+        ),
+        overrides={"round_timeout": 5.0},
+        relogin_at=65.0,
+    ),
+    # The WAN to the whole CM farm goes dark for 27 s: no replica helps,
+    # clients degrade and retry in place (two failures stay below the
+    # breaker threshold).
+    "partition_cm_farm": FarmFaults(
+        ((235.0, "partition", "fleet<->cm_farm"), (262.0, "heal", "*")),
+    ),
+    # Gray failure: cm0 runs 1000x slow; queued requests time out like
+    # losses, breakers trip, the fleet drains to the replica.
+    "slow_station_brownout": FarmFaults(
+        ((230.0, "brownout", "cm0 x1000"), (290.0, "restore", "cm0")),
+    ),
+    # cm0 flaps 6 s down, 6 s up through the renewal storm.
+    "replica_flap": FarmFaults(tuple(flap(CM0, start=236.0, stop=278.0, period=6.0))),
     "shard_killed_mid_resharding": shard_killed_mid_resharding,
-    "polluting_parents": _adversarial("polluting_parents"),
-    "key_withholding_parents": _adversarial("key_withholding_parents"),
-    "depth_liars": _adversarial("depth_liars"),
-    "join_flood": _adversarial("join_flood"),
-    "replay_storm": _adversarial("replay_storm"),
+    # The Byzantine tail: adversaries join early, behave, earn children,
+    # then turn at ``start``.
+    "polluting_parents": Byzantine(
+        AdversaryConfig(tamper_packets=1.0, start=150.0), "pollution_detected", "tamper"
+    ),
+    "key_withholding_parents": Byzantine(
+        AdversaryConfig(withhold_keys=True, start=150.0), "missing_key_detected", "withhold"
+    ),
+    # Liars join after the honest fleet and pin their advertised depth
+    # at 0; the overlay's depth audit must catch them.
+    "depth_liars": Byzantine(
+        AdversaryConfig(lie_depth=0, start=0.0), "depth_lies_detected", "lie_descriptor",
+        adversaries_first=False, check=_depths_track_tree,
+    ),
+    "join_flood": join_flood,
+    # Each adversary replays its stalest key beside every fresh one.
+    "replay_storm": Byzantine(
+        AdversaryConfig(replay_keys=True, start=60.0), "key_replays_rejected", "replay",
+        check=_rings_at_head,
+    ),
 }
 
 
@@ -614,7 +901,7 @@ def run_scenario(name: str, config: Optional[ChaosConfig] = None) -> ScenarioRes
         raise KeyError(
             f"unknown scenario {name!r}; choose from {', '.join(SCENARIOS)}"
         ) from None
-    return scenario(config)
+    return scenario(name, config)
 
 
 # ----------------------------------------------------------------------

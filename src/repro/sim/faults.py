@@ -18,17 +18,22 @@ It also packages the recovery invariants the paper's guarantees imply:
   than clients have already seen, or lineup changes would be missed.
 * :func:`viewing_log_divergence` -- byte-level equality of viewing
   logs (the crash-recovery acceptance check).
+
+The chaos suite's softer faults -- an address down or up in place, a
+partition, a slow station -- are ``(when, kind, target)`` rows that
+:meth:`FaultInjector.schedule` plays; :func:`flap` expands to such rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.attributes import AttributeSet
 from repro.core.channel_manager import ViewingLogEntry
 from repro.errors import SimulationError
-from repro.sim.rpc import RpcService, VirtualNetwork
+from repro.sim.rpc import VirtualNetwork
+from repro.sim.station import ServiceStation
 
 
 @dataclass
@@ -48,6 +53,9 @@ class CrashRecord:
         return self.recovered_at - self.crashed_at
 
 
+#: One soft fault, ``(when, kind, target)`` -- see :meth:`FaultInjector.schedule`.
+FaultRow = Tuple[float, str, str]
+
 #: Rebuilds the crashed component and re-registers its RPC endpoints;
 #: returns the store whose stats carry replay counters (or None).
 RecoveryFn = Callable[[], Optional[object]]
@@ -60,9 +68,10 @@ class FaultInjector:
         self._network = network
         self._sim = network.sim
         self.crashes: List[CrashRecord] = []
-        #: Scheduled soft faults, ``(when, kind, target)`` -- the
-        #: chaos report prints these next to the client outcomes.
-        self.events: List[Tuple[float, str, str]] = []
+        #: Scheduled soft faults -- the chaos report prints these next
+        #: to the client outcomes.
+        self.events: List[FaultRow] = []
+        self._brownouts: Dict[str, float] = {}
 
     def crash_at(self, when: float, address: str) -> CrashRecord:
         """Kill the service at ``address`` at virtual time ``when``.
@@ -113,81 +122,73 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Softer faults (the chaos suite's vocabulary)
     # ------------------------------------------------------------------
-    #
-    # ``crash_at``/``recover_at`` model a process death: state is gone
-    # and must come back via the durable store.  The faults below keep
-    # the process object intact -- they model the network (or the
-    # scheduler) misbehaving around a healthy process, which is what
-    # rolling restarts, partitions, and brownouts look like from the
-    # client side.
 
-    def down_at(self, when: float, address: str) -> None:
-        """Crash the service in place at ``when`` (state preserved)."""
-        self._log_event(when, "down", address)
-        self._sim.schedule_at(when, lambda _sim: self._network.set_down(address))
-
-    def up_at(self, when: float, address: str) -> None:
-        """Bring an in-place-crashed service back at ``when``."""
-        self._log_event(when, "up", address)
-        self._sim.schedule_at(when, lambda _sim: self._network.set_up(address))
-
-    def flap(
-        self, address: str, start: float, stop: float, period: float
+    def schedule(
+        self,
+        rows: Iterable[FaultRow],
+        groups: Mapping[str, Sequence[str]] = {},
+        stations: Mapping[str, ServiceStation] = {},
     ) -> None:
-        """Alternate down/up every ``period`` seconds over [start, stop)."""
-        if period <= 0.0:
-            raise SimulationError("flap period must be positive")
-        when, down = start, True
-        while when < stop:
-            (self.down_at if down else self.up_at)(when, address)
-            down = not down
-            when += period
-        if down is False:
-            # An odd number of transitions left it down: restore it.
-            self.up_at(stop, address)
+        """Schedule soft faults given as ``(when, kind, target)`` rows.
 
-    def partition_at(
-        self, when: float, group_a: Sequence[str], group_b: Sequence[str]
-    ) -> None:
-        """Cut both directions between the groups at ``when``."""
-        a, b = list(group_a), list(group_b)
-        self._log_event(when, "partition", f"{a}<->{b}")
-        self._sim.schedule_at(when, lambda _sim: self._network.partition(a, b))
-
-    def heal_at(self, when: float) -> None:
-        """Remove every blocked link at ``when``."""
-        self._log_event(when, "heal", "*")
-        self._sim.schedule_at(when, lambda _sim: self._network.heal())
-
-    def brownout_at(self, when: float, station, factor: float) -> None:
-        """Multiply a station's mean service time by ``factor``.
-
-        ``sample_service_time`` reads ``mean_service_time`` live, so
-        the slowdown applies to every request serviced after ``when``
-        -- including ones already queued.
+        Unlike ``crash_at`` these keep the process intact; the network
+        or the scheduler misbehaves around it.  Kinds: ``down``/``up``
+        an RPC address in place; ``partition`` ``"A<->B"`` between two
+        named address ``groups`` (logged resolved); ``heal`` ``"*"``;
+        ``brownout`` ``"cm0 x1000"`` multiplies a named station's live
+        mean service time until its ``restore`` ``"cm0"``.
         """
-        if factor <= 0.0:
-            raise SimulationError("brownout factor must be positive")
-        self._log_event(when, "brownout", f"{station.name} x{factor:g}")
+        network = self._network
+        for when, kind, target in rows:
+            if kind in ("down", "up"):
+                toggle = network.set_down if kind == "down" else network.set_up
+                action = lambda _sim, toggle=toggle, address=target: toggle(address)
+            elif kind == "partition":
+                a, b = (list(groups[side]) for side in target.split("<->"))
+                target = f"{a}<->{b}"
+                action = lambda _sim, a=a, b=b: network.partition(a, b)
+            elif kind == "heal":
+                action = lambda _sim: network.heal()
+            elif kind == "brownout":
+                name, _, factor = target.partition(" x")
+                factor = float(factor)
+                if factor <= 0.0:
+                    raise SimulationError("brownout factor must be positive")
+                self._brownouts[name] = factor
+                action = lambda _sim, st=stations[name], f=factor: _slow(st, f)
+            elif kind == "restore":
+                factor = self._brownouts.pop(target, None)
+                if factor is None:
+                    raise SimulationError(f"restore of {target!r} without a brownout")
+                action = lambda _sim, st=stations[target], f=factor: _fast(st, f)
+            else:
+                raise SimulationError(f"unknown fault kind {kind!r}")
+            self.events.append((when, kind, target))
+            self._sim.schedule_at(when, action)
 
-        def slow(_sim) -> None:
-            station.mean_service_time *= factor
 
-        self._sim.schedule_at(when, slow)
+def _slow(station: ServiceStation, factor: float) -> None:
+    station.mean_service_time *= factor
 
-    def restore_at(self, when: float, station, factor: float) -> None:
-        """Undo a brownout applied with the same ``factor``."""
-        if factor <= 0.0:
-            raise SimulationError("brownout factor must be positive")
-        self._log_event(when, "restore", station.name)
 
-        def fast(_sim) -> None:
-            station.mean_service_time /= factor
+def _fast(station: ServiceStation, factor: float) -> None:
+    station.mean_service_time /= factor
 
-        self._sim.schedule_at(when, fast)
 
-    def _log_event(self, when: float, kind: str, target: str) -> None:
-        self.events.append((when, kind, target))
+def flap(address: str, start: float, stop: float, period: float) -> List[FaultRow]:
+    """Rows alternating ``down``/``up`` every ``period`` over [start, stop),
+    ending up."""
+    if period <= 0.0:
+        raise SimulationError("flap period must be positive")
+    rows: List[FaultRow] = []
+    when, down = start, True
+    while when < stop:
+        rows.append((when, "down" if down else "up", address))
+        down = not down
+        when += period
+    if not down:
+        rows.append((stop, "up", address))
+    return rows
 
 
 # ----------------------------------------------------------------------

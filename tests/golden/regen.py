@@ -53,7 +53,7 @@ SURFACES: Dict[str, Tuple[List[str], Dict[str, str]]] = {
         {},
     ),
     "storm": (
-        ["storm", "--shards", "2", "--clients", "2", "--horizon", "60",
+        ["storm", "--shards", "2", "--clients", "2", "--horizon", "90",
          "--workers", "2", "--check-determinism"],
         {},
     ),

@@ -1,12 +1,12 @@
 """A departure must leave every viewer reachable and decrypting (ROADMAP item 15).
 
-Known defect, kept visible: after the source's only child leaves, a
-multi-parent (peer-division multiplexing) overlay repairs into a
-cycle.  ``remove_peer`` reports the repair done and ``orphans()`` is
-empty, yet ``check_tree`` finds ``cycle through peer-5`` and the next
-packet reaches 1 of 59 viewers, with no decrypt failure counted.  The
-same departure leaves a single-parent overlay intact.  The strict
-xfail turns red the day item 15 closes the hole.
+After the source's only child leaves, a multi-parent (peer-division
+multiplexing) overlay used to repair into a cycle: the repair probe
+counted a candidate as reaching the source through the orphan itself,
+or through another sub-stream, and re-homed a sub-stream under the
+orphan's own descendant.  The next packet then reached 1 of 59 viewers.
+Repair now walks each missing sub-stream's own parent chain, so every
+viewer keeps decrypting every sub-stream.
 """
 
 import pytest
@@ -42,25 +42,25 @@ def departed_overlay(substream_count, multiparent):
     return overlay, viewers[1:]
 
 
-def assert_intact(overlay, viewers):
+def assert_intact(overlay, viewers, packets=1):
+    """Every viewer decrypts each of ``packets`` consecutive packets,
+    one per sub-stream when ``packets`` is the sub-stream count."""
     overlay.check_tree()
     before = [viewer.client.packets_decrypted for viewer in viewers]
-    overlay.source.broadcast_packet(21.0)
+    for n in range(packets):
+        overlay.source.broadcast_packet(21.0 + n)
     dark = [
         viewer.peer_id
         for viewer, count in zip(viewers, before)
-        if viewer.client.packets_decrypted != count + 1
+        if viewer.client.packets_decrypted != count + packets
     ]
-    assert not dark, f"{len(dark)} of {len(viewers)} viewers missed the packet"
+    assert not dark, f"{len(dark)} of {len(viewers)} viewers missed a packet"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 15: multi-parent repair re-homes a sub-stream under "
-           "its own descendant (cycle through peer-5; 1 of 59 decrypt)",
-)
-def test_multiparent_overlay_survives_the_source_childs_departure():
-    assert_intact(*departed_overlay(substream_count=4, multiparent=True))
+@pytest.mark.parametrize("substream_count", [2, 3, 4])
+def test_multiparent_overlay_survives_the_source_childs_departure(substream_count):
+    overlay, viewers = departed_overlay(substream_count, multiparent=True)
+    assert_intact(overlay, viewers, packets=substream_count)
 
 
 @pytest.mark.parametrize("substream_count", [1, 4])

@@ -26,7 +26,7 @@ def test_watch_converges_with_healthy_farms():
 
 def test_primary_cm_down_from_start_fails_over():
     rig = ChaosRig(ChaosConfig(clients=2, horizon=400.0))
-    rig.injector.down_at(0.0, CM0)
+    rig.injector.schedule([(0.0, "down", CM0)])
     result = rig.run("primary-dead")
     assert result.passed, result.violations
     assert all(o.converged for o in result.outcomes)
@@ -42,8 +42,7 @@ def test_outage_shorter_than_ticket_is_degraded_not_interrupted():
     # Both farm instances gone across the renewal point (~241 s), back
     # well before any ticket expires (~301 s).
     for address in (CM0, CM1):
-        rig.injector.down_at(235.0, address)
-        rig.injector.up_at(265.0, address)
+        rig.injector.schedule([(235.0, "down", address), (265.0, "up", address)])
     result = rig.run("blip")
     assert result.passed, result.violations
     for outcome in result.outcomes:
@@ -61,8 +60,7 @@ def test_outage_outliving_ticket_records_interruption_then_recovers():
     # Both instances down from before the renewal window until well
     # past every ticket's expiry (~301-303 s): playback must stop.
     for address in (CM0, CM1):
-        rig.injector.down_at(230.0, address)
-        rig.injector.up_at(380.0, address)
+        rig.injector.schedule([(230.0, "down", address), (380.0, "up", address)])
     result = rig.run("long-outage")
     assert result.passed, result.violations
     for outcome in result.outcomes:
@@ -79,8 +77,7 @@ def test_outage_outliving_ticket_records_interruption_then_recovers():
 
 def test_um_outage_during_login_retries_until_converged():
     rig = ChaosRig(ChaosConfig(clients=2, horizon=400.0))
-    rig.injector.down_at(0.0, UM0)
-    rig.injector.up_at(40.0, UM0)
+    rig.injector.schedule([(0.0, "down", UM0), (40.0, "up", UM0)])
     result = rig.run("um-down")
     assert result.passed, result.violations
     assert all(o.converged for o in result.outcomes)
@@ -103,8 +100,7 @@ def test_backoff_exhausted_parks_at_the_cap_and_playback_holds():
     config = ChaosConfig(clients=2, horizon=700.0, retry_attempts=3, retry_cap=10.0)
     rig = ChaosRig(config)
     for address in (CM0, CM1):
-        rig.injector.down_at(235.0, address)
-        rig.injector.up_at(290.0, address)
+        rig.injector.schedule([(235.0, "down", address), (290.0, "up", address)])
     result = rig.run("renewal-parked")
     assert result.passed, result.violations
     for viewer, outcome in zip(rig.fleet, result.outcomes):

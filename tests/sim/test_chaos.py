@@ -6,6 +6,8 @@ result object must survive a JSON round-trip for ``repro chaos
 report``.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.sim.chaos import (
@@ -102,7 +104,7 @@ def test_result_json_roundtrip(tmp_path):
     path = tmp_path / "run.json"
     result.save(str(path))
     loaded = load_result(str(path))
-    assert loaded.to_dict() == result.to_dict()
+    assert asdict(loaded) == asdict(result)
     assert isinstance(loaded, ScenarioResult)
     rendered = render_result(loaded)
     assert "replica_flap" in rendered

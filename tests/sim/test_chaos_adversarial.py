@@ -12,7 +12,7 @@ playback recovers.  Fleet size is reduced through the same
 import pytest
 
 from repro.p2p.adversary import AdversaryConfig
-from repro.sim.adversarial import AdversarialRig
+from repro.sim.chaos import AdversarialRig
 from repro.sim.chaos import (
     SCENARIOS,
     ChaosConfig,

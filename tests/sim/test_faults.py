@@ -11,12 +11,14 @@ from repro.sim.engine import Simulator
 from repro.sim.faults import (
     CrashRecord,
     FaultInjector,
+    flap,
     single_location_violations,
     utime_regressions,
     viewing_log_divergence,
 )
 from repro.sim.network import LatencyModel, RegionRtt
 from repro.sim.rpc import RpcService, VirtualNetwork
+from repro.sim.station import ServiceStation
 
 
 def make_network(rtt=0.1):
@@ -157,6 +159,74 @@ class TestRecover:
         sim.run()
         assert replies == []
         assert first.requests_served == 0
+
+
+class TestSoftFaults:
+    def test_rows_are_logged_and_applied_in_place(self):
+        sim, network = make_network()
+        service = echo_service()
+        network.attach(service)
+        injector = FaultInjector(network)
+        injector.schedule([(1.0, "down", "svc://a"), (3.0, "up", "svc://a")])
+        replies = []
+        for when in (2.0, 4.0):
+            sim.schedule_at(when, lambda s, w=when: network.call(
+                "c", "client", "svc://a", "echo", w, on_reply=replies.append))
+        sim.run()
+        assert replies == [4.0]  # dropped while down, served once up
+        assert injector.events == [(1.0, "down", "svc://a"), (3.0, "up", "svc://a")]
+
+    def test_partition_resolves_named_groups_into_the_log(self):
+        sim, network = make_network()
+        network.attach(echo_service())
+        injector = FaultInjector(network)
+        injector.schedule(
+            [(1.0, "partition", "clients<->farm"), (5.0, "heal", "*")],
+            groups={"clients": ["c"], "farm": ["svc://a"]},
+        )
+        replies = []
+        for when in (2.0, 6.0):
+            sim.schedule_at(when, lambda s, w=when: network.call(
+                "c", "client", "svc://a", "echo", w, on_reply=replies.append))
+        sim.run()
+        assert replies == [6.0]
+        assert injector.events[0] == (1.0, "partition", "['c']<->['svc://a']")
+
+    def test_brownout_and_restore_round_trip_the_service_time(self):
+        sim, network = make_network()
+        station = ServiceStation(sim, 1, 0.005, random.Random(3), name="cm0")
+        injector = FaultInjector(network)
+        injector.schedule(
+            [(1.0, "brownout", "cm0 x1000"), (2.0, "restore", "cm0")],
+            stations={"cm0": station},
+        )
+        seen = []
+        for when in (1.5, 2.5):
+            sim.schedule_at(when, lambda s: seen.append(station.mean_service_time))
+        sim.run()
+        assert seen == [0.005 * 1000.0, 0.005 * 1000.0 / 1000.0]
+
+    def test_bad_rows_are_refused(self):
+        _, network = make_network()
+        injector = FaultInjector(network)
+        stations = {"cm0": object()}
+        for rows in (
+            [(1.0, "explode", "svc://a")],
+            [(1.0, "restore", "cm0")],
+            [(1.0, "brownout", "cm0 x0")],
+        ):
+            with pytest.raises(SimulationError):
+                injector.schedule(rows, stations=stations)
+
+    def test_flap_alternates_and_ends_up(self):
+        assert flap("svc://a", start=0.0, stop=5.0, period=2.0) == [
+            (0.0, "down", "svc://a"),
+            (2.0, "up", "svc://a"),
+            (4.0, "down", "svc://a"),
+            (5.0, "up", "svc://a"),
+        ]
+        with pytest.raises(SimulationError):
+            flap("svc://a", start=0.0, stop=5.0, period=0.0)
 
 
 class TestSingleLocationInvariant:

@@ -65,10 +65,37 @@ DELETED_NAMES = {
     "crossover_audience",
     "correlations",
     "run_all",
+    # The chaos suite's scenario functions, now rows in SCENARIOS, the
+    # lazy import that split it in two, and the soft-fault methods
+    # folded into FaultInjector.schedule.
+    "manager_crash_mid_storm",
+    "rolling_restarts",
+    "partition_cm_farm",
+    "slow_station_brownout",
+    "replica_flap",
+    "polluting_parents",
+    "key_withholding_parents",
+    "depth_liars",
+    "replay_storm",
+    "_adversarial",
+    "_viewer_count",
+    "_guard_client",
+    "require_pipeline",
+    "client_addresses",
+    "down_at",
+    "up_at",
+    "partition_at",
+    "heal_at",
+    "brownout_at",
+    "restore_at",
+    "_log_event",
     # Bare names too common to ban: only the class may not define them.
     "MetricsRegistry.report",
     "Tracer.traces",
     "Tracer.reset",
+    "FaultInjector.flap",
+    "ScenarioResult.to_dict",
+    "ScenarioResult.from_dict",
 }
 
 

@@ -204,7 +204,7 @@ def sweep_chains(work: Path) -> List[List[List[str]]]:
         [_repro("shard", "plan", "--add-um", "1", "--add-cm", "1"),
          _repro("shard", "status"),
          _repro("shard", "rebalance", "--add-um", "1", "--add-cm", "1"),
-         _repro("storm", "--shards", "2", "--clients", "2", "--horizon", "60",
+         _repro("storm", "--shards", "2", "--clients", "2", "--horizon", "90",
                 "--workers", "2", "--check-determinism"),
          _repro("store", "inspect", store),
          _repro("store", "verify", store),
